@@ -237,6 +237,25 @@ def test_coset_representatives_are_a_transversal():
                 assert not s.contains_vector(diff)
 
 
+def test_coset_representatives_exact_order():
+    """The transversal is U^-1 applied to the SNF box, in product order."""
+    z3 = FgAbGroup.free(3)
+    torsion = FgAbGroup.from_invariants(0, [6, 4])
+    mixed = FgAbGroup.from_invariants(1, [4])
+    cases = [
+        (Z2, [[3, 1], [1, 2]], [(0, 0), (0, -1), (0, -2), (0, -3), (0, -4)]),
+        (Z2, [[2, 4], [6, 2]],
+         [(0, 0), (0, -1), (0, -2), (0, -3), (0, -4), (0, -5), (0, -6), (0, -7), (0, -8),
+          (0, -9), (1, 2), (1, 1), (1, 0), (1, -1), (1, -2), (1, -3), (1, -4), (1, -5),
+          (1, -6), (1, -7)]),
+        (z3, [[1, 2, 0], [0, 1, 3], [2, 0, 1]], [(0, 0, k) for k in range(13)]),
+        (torsion, [[2, 2]], [(0, 0), (0, 1), (1, 1), (1, 2)]),
+        (mixed, [[3, 2]], [(k, k) for k in range(12)]),
+    ]
+    for group, gens, expected in cases:
+        assert group.coset_representatives(group.subgroup(gens)) == expected
+
+
 def test_cokernel_against_independent_pivot_oracle():
     rng = random.Random(4242)
     for _ in range(80):
