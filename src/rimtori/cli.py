@@ -14,10 +14,12 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import covers
 from .divisors import (
     ContactProfile,
+    DeckGroupReport,
     DivisorComponent,
     DivisorData,
     active_component_span,
@@ -32,7 +34,7 @@ from .divisors import (
 )
 from .groups import CanonicalForm, FgAbGroup, format_canonical
 from .scenario import Scenario, ScenarioError, UnresolvedReferenceError, load_scenario
-from .squares import ExactnessReport, elliptic_p1xt2_square, verify
+from .squares import elliptic_p1xt2_square, verify
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -70,10 +72,6 @@ def _canonical_payload(form: CanonicalForm) -> dict:
     }
 
 
-def _group_payload(group: FgAbGroup) -> dict:
-    return _canonical_payload(group.canonical_form())
-
-
 def _complex_str(z) -> str:
     return f"({z[0]}, {z[1]})"
 
@@ -82,35 +80,17 @@ def _complex_payload(z) -> list[str]:
     return [str(Fraction(z[0])), str(Fraction(z[1]))]
 
 
-def _exactness_payload(report: ExactnessReport) -> dict:
-    def seq(r):
-        return {"injective": r.injective, "exact_middle": r.exact_middle,
-                "surjective": r.surjective}
-
-    return {
-        "rows": [seq(r) for r in report.rows],
-        "cols": [seq(c) for c in report.cols],
-        "cells": list(report.cells),
-        "exact": report.all_exact,
-        "commutative": report.all_commute,
-        "overall": report.overall,
-    }
-
-
 class _NameError(Exception):
     """Wrong names passed on the command line (validation class)."""
 
 
-def _pick(names: list[str], count: int, command: str) -> list[str]:
-    if len(names) != count:
-        raise _NameError(f"{command} expects {count} --name argument(s), got {len(names)}")
-    return names
-
-
-def _resolve(table: dict, name: str, kind: str):
-    if name not in table:
-        raise UnresolvedReferenceError(f"unknown {kind} {name!r}")
-    return table[name]
+def _resolve(scenario: Scenario, kind: str, name: str):
+    table = getattr(scenario, f"{kind}s")
+    if name in table:
+        return table[name]
+    if kind == "square" and name in BUILTIN_SQUARES:
+        return BUILTIN_SQUARES[name]()
+    raise UnresolvedReferenceError(f"unknown {kind} {name!r}")
 
 
 def _single_tuple(profile: ContactProfile, command: str) -> tuple[int, ...]:
@@ -119,164 +99,166 @@ def _single_tuple(profile: ContactProfile, command: str) -> tuple[int, ...]:
     return profile.tuples[0]
 
 
-def run(command: str, scenario: Scenario, names: list[str],
-        gamma: tuple[int, int] | None = None) -> Report:
-    """Dispatch one command against a loaded scenario."""
-    if command == "compute":
-        (name,) = _pick(names, 1, command)
-        divisor = _resolve(scenario.divisors, name, "divisor")
-        group, _ = rim_tori_module(divisor)
-        payload = _group_payload(group)
-        return Report(command, (name,), payload, (f"group: {payload['group']}",))
-
-    if command == "deck":
-        dname, pname = _pick(names, 2, command)
-        divisor = _resolve(scenario.divisors, dname, "divisor")
-        profile = _resolve(scenario.profiles, pname, "profile")
-        report = deck_group(divisor, profile)
-        finite = format_canonical(report.finite_part)
-        free = format_canonical(report.free_part)
-        total = format_canonical(report.total)
-        payload = {
-            "finite": _canonical_payload(report.finite_part),
-            "free": _canonical_payload(report.free_part),
-            "total": _canonical_payload(report.total),
-            "gcds": list(profile.gcds()),
-        }
-        return Report(command, (dname, pname), payload,
-                      (f"finite: {finite}; free: {free}; total: {total}",))
-
-    if command == "glue":
-        (name,) = _pick(names, 1, command)
-        gluing = _resolve(scenario.gluings, name, "gluing")
-        side_x = _resolve(scenario.divisors, gluing.side_x, "divisor")
-        side_y = _resolve(scenario.divisors, gluing.side_y, "divisor")
-        group = vanishing_cycles(side_x, side_y, gluing.ident)
-        payload = _group_payload(group)
-        return Report(command, (name,), payload, (f"group: {payload['group']}",))
-
-    if command == "self-glue":
-        (name,) = _pick(names, 1, command)
-        divisor = _resolve(scenario.divisors, name, "divisor")
-        payload = _group_payload(self_glue(divisor))
-        return Report(command, (name,), payload, (f"group: {payload['group']}",))
-
-    if command == "vanishing":
-        dname, pname = _pick(names, 2, command)
-        divisor = _resolve(scenario.divisors, dname, "divisor")
-        profile = _resolve(scenario.profiles, pname, "profile")
-        threshold = vanishing_threshold(divisor, profile)
-        payload = {"threshold": threshold, "contacts": profile.total_contacts()}
-        return Report(command, (dname, pname), payload, (f"threshold r* = {threshold}",))
-
-    if command == "invariance":
-        dname, pname = _pick(names, 2, command)
-        divisor = _resolve(scenario.divisors, dname, "divisor")
-        profile = _resolve(scenario.profiles, pname, "profile")
-        verdict = invariance_verdict(divisor, profile)
-        payload = {
-            "lift_independent": verdict.lift_independent,
-            "equals_standard_gw": verdict.equals_standard_gw,
-            "reasons": {name: ok for name, ok in verdict.reasons},
-        }
-        lines = (
-            f"lift_independent: {_yes(verdict.lift_independent)}",
-            f"equals_standard_gw: {_yes(verdict.equals_standard_gw)}",
-            *(f"reason {name}: {_yes(ok)}" for name, ok in verdict.reasons),
-        )
-        return Report(command, (dname, pname), payload, lines)
-
-    if command == "finite-generation":
-        dname, pname = _pick(names, 2, command)
-        divisor = _resolve(scenario.divisors, dname, "divisor")
-        profile = _resolve(scenario.profiles, pname, "profile")
-        span, finite_index = active_component_span(divisor, profile)
-        rim, _ = rim_tori_module(divisor)
-        index = rim.index_of(span)
-        index_repr = "inf" if index is None else index
-        verdict = cover_homology_finitely_generated(divisor, profile)
-        payload = {
-            "finitely_generated": verdict,
-            "active_span_finite_index": finite_index,
-            "active_span_index": index_repr,
-        }
-        return Report(command, (dname, pname), payload,
-                      (f"finitely_generated: {_yes(verdict)}",
-                       f"active_span_index: {index_repr}"))
-
-    if command == "verify-square":
-        (name,) = _pick(names, 1, command)
-        if name in scenario.squares:
-            square = scenario.squares[name]
-        elif name in BUILTIN_SQUARES:
-            square = BUILTIN_SQUARES[name]()
-        else:
-            raise UnresolvedReferenceError(f"unknown square {name!r}")
-        report = verify(square)
-        payload = _exactness_payload(report)
-        lines = [f"exact: {_yes(report.all_exact)}; commutative: {_yes(report.all_commute)}"]
-        for i, r in enumerate(report.rows):
-            lines.append(f"row {i}: injective={_yes(r.injective)}"
-                         f" middle={_yes(r.exact_middle)} surjective={_yes(r.surjective)}")
-        for i, c in enumerate(report.cols):
-            lines.append(f"col {i}: injective={_yes(c.injective)}"
-                         f" middle={_yes(c.exact_middle)} surjective={_yes(c.surjective)}")
-        lines.append("cells: " + " ".join(_yes(c) for c in report.cells))
-        return Report(command, (name,), payload, tuple(lines))
-
-    if command == "torus-cover":
-        (pname,) = _pick(names, 1, command)
-        profile = _resolve(scenario.profiles, pname, "profile")
-        weights = _single_tuple(profile, command)
-        if not weights:
-            raise ValueError("torus-cover requires at least one contact point")
-        ambient = FgAbGroup.free(2)
-        r0, torus_dim = covers.rank_profile(2, ambient.zero_subgroup(), weights)
-        divisor = _torus_divisor()
-        report = deck_group(divisor, ContactProfile((weights,)))
-        payload = {
-            "euclidean_rank": r0,
-            "torus_dim": torus_dim,
-            "gcd": gcd_tuple(weights),
-            "deck_finite": _canonical_payload(report.finite_part),
-            "deck_free": _canonical_payload(report.free_part),
-            "deck_total": _canonical_payload(report.total),
-        }
-        shape = "C" if torus_dim == 0 else f"C x T^{torus_dim}"
-        lines = (
-            f"cover: {shape}",
-            f"deck finite: {format_canonical(report.finite_part)}",
-            f"deck free: {format_canonical(report.free_part)}",
-            f"deck total: {format_canonical(report.total)}",
-        )
-        return Report(command, (pname,), payload, lines)
-
-    if command == "base-point":
-        (pname,) = _pick(names, 1, command)
-        profile = _resolve(scenario.profiles, pname, "profile")
-        weights = _single_tuple(profile, command)
-        point = covers.base_point(weights, gamma or (1, 0))
-        projected = covers.cover_project(weights, point)
-        origin = all(z == (0, 0) for z in projected.coordinates)
-        payload = {
-            "z": _complex_payload(point.z),
-            "torus": [_complex_payload(z) for z in point.torus.coordinates],
-            "projects_to_origin": origin,
-        }
-        lines = (
-            f"z: {_complex_str(point.z)}",
-            "torus: " + ", ".join(_complex_str(z) for z in point.torus.coordinates),
-            f"projects_to_origin: {_yes(origin)}",
-        )
-        return Report(command, (pname,), payload, lines)
-
-    raise _NameError(f"unknown command {command!r}")
-
-
 def _torus_divisor() -> DivisorData:
     """The standard two-torus divisor with nothing swept."""
     torus = DivisorComponent(name="T2", h1=FgAbGroup.free(2), is_torus=True)
     return DivisorData(components=(torus,), h_xv=torus.h1.zero_subgroup(), dim_v=2)
+
+
+# Each command takes the scenario and its resolved names (base-point also
+# the sheet representative) and returns (payload, text lines).
+
+def _group_result(group: FgAbGroup):
+    payload = _canonical_payload(group.canonical_form())
+    return payload, [f"group: {payload['group']}"]
+
+
+def _deck_parts(report: DeckGroupReport):
+    return (("finite", report.finite_part), ("free", report.free_part),
+            ("total", report.total))
+
+
+def _deck(scenario, divisor, profile):
+    parts = _deck_parts(deck_group(divisor, profile))
+    payload = {key: _canonical_payload(form) for key, form in parts}
+    payload["gcds"] = list(profile.gcds())
+    return payload, ["; ".join(f"{key}: {format_canonical(form)}" for key, form in parts)]
+
+
+def _glue(scenario, gluing):
+    side_x = _resolve(scenario, "divisor", gluing.side_x)
+    side_y = _resolve(scenario, "divisor", gluing.side_y)
+    return _group_result(vanishing_cycles(side_x, side_y, gluing.ident))
+
+
+def _vanishing(scenario, divisor, profile):
+    threshold = vanishing_threshold(divisor, profile)
+    payload = {"threshold": threshold, "contacts": profile.total_contacts()}
+    return payload, [f"threshold r* = {threshold}"]
+
+
+def _invariance(scenario, divisor, profile):
+    verdict = invariance_verdict(divisor, profile)
+    payload = {
+        "lift_independent": verdict.lift_independent,
+        "equals_standard_gw": verdict.equals_standard_gw,
+        "reasons": {name: ok for name, ok in verdict.reasons},
+    }
+    lines = [
+        f"lift_independent: {_yes(verdict.lift_independent)}",
+        f"equals_standard_gw: {_yes(verdict.equals_standard_gw)}",
+        *(f"reason {name}: {_yes(ok)}" for name, ok in verdict.reasons),
+    ]
+    return payload, lines
+
+
+def _finite_generation(scenario, divisor, profile):
+    span, finite_index = active_component_span(divisor, profile)
+    rim, _ = rim_tori_module(divisor)
+    index = rim.index_of(span)
+    index_repr = "inf" if index is None else index
+    verdict = cover_homology_finitely_generated(divisor, profile)
+    payload = {
+        "finitely_generated": verdict,
+        "active_span_finite_index": finite_index,
+        "active_span_index": index_repr,
+    }
+    return payload, [f"finitely_generated: {_yes(verdict)}", f"active_span_index: {index_repr}"]
+
+
+def _verify_square(scenario, square):
+    report = verify(square)
+    payload = {"cells": list(report.cells), "exact": report.all_exact,
+               "commutative": report.all_commute, "overall": report.overall}
+    lines = [f"exact: {_yes(report.all_exact)}; commutative: {_yes(report.all_commute)}"]
+    for key, sequences in (("row", report.rows), ("col", report.cols)):
+        payload[f"{key}s"] = [{"injective": r.injective, "exact_middle": r.exact_middle,
+                               "surjective": r.surjective} for r in sequences]
+        lines += [f"{key} {i}: injective={_yes(r.injective)}"
+                  f" middle={_yes(r.exact_middle)} surjective={_yes(r.surjective)}"
+                  for i, r in enumerate(sequences)]
+    lines.append("cells: " + " ".join(_yes(c) for c in report.cells))
+    return payload, lines
+
+
+def _torus_cover(scenario, profile):
+    weights = _single_tuple(profile, "torus-cover")
+    if not weights:
+        raise ValueError("torus-cover requires at least one contact point")
+    r0, torus_dim = covers.rank_profile(2, FgAbGroup.free(2).zero_subgroup(), weights)
+    parts = _deck_parts(deck_group(_torus_divisor(), ContactProfile((weights,))))
+    payload = {"euclidean_rank": r0, "torus_dim": torus_dim, "gcd": gcd_tuple(weights)}
+    payload.update((f"deck_{key}", _canonical_payload(form)) for key, form in parts)
+    shape = "C" if torus_dim == 0 else f"C x T^{torus_dim}"
+    return payload, [f"cover: {shape}",
+                     *(f"deck {key}: {format_canonical(form)}" for key, form in parts)]
+
+
+def _base_point(scenario, profile, gamma):
+    weights = _single_tuple(profile, "base-point")
+    point = covers.base_point(weights, gamma)
+    projected = covers.cover_project(weights, point)
+    origin = all(z == (0, 0) for z in projected.coordinates)
+    payload = {
+        "z": _complex_payload(point.z),
+        "torus": [_complex_payload(z) for z in point.torus.coordinates],
+        "projects_to_origin": origin,
+    }
+    lines = [
+        f"z: {_complex_str(point.z)}",
+        "torus: " + ", ".join(_complex_str(z) for z in point.torus.coordinates),
+        f"projects_to_origin: {_yes(origin)}",
+    ]
+    return payload, lines
+
+
+@dataclass(frozen=True)
+class _Command:
+    help: str
+    kinds: tuple[str, ...]  # the scenario table each --name resolves in, in order
+    fn: Callable[..., tuple[dict, list[str]]]
+    takes_gamma: bool = False
+
+
+COMMANDS = {
+    "compute": _Command(
+        "canonical form of the rim tori module of a divisor", ("divisor",),
+        lambda scenario, divisor: _group_result(rim_tori_module(divisor)[0])),
+    "deck": _Command("deck group of the contact cover of a divisor and profile",
+                     ("divisor", "profile"), _deck),
+    "glue": _Command("vanishing-cycles module of a named gluing", ("gluing",), _glue),
+    "self-glue": _Command(
+        "vanishing-cycles module of gluing a divisor to itself", ("divisor",),
+        lambda scenario, divisor: _group_result(self_glue(divisor))),
+    "vanishing": _Command("largest useful relative insertion degree",
+                          ("divisor", "profile"), _vanishing),
+    "invariance": _Command("lift-independence and agreement with standard counts",
+                           ("divisor", "profile"), _invariance),
+    "finite-generation": _Command("finite generation of the contact cover homology",
+                                  ("divisor", "profile"), _finite_generation),
+    "verify-square": _Command("exactness and commutativity of a 3x3 square",
+                              ("square",), _verify_square),
+    "torus-cover": _Command("shape and deck group of the explicit torus cover",
+                            ("profile",), _torus_cover),
+    "base-point": _Command("distinguished cover point of a sheet representative",
+                           ("profile",), _base_point, takes_gamma=True),
+}
+
+
+def run(command: str, scenario: Scenario, names: list[str],
+        gamma: tuple[int, int] | None = None) -> Report:
+    """Dispatch one command against a loaded scenario."""
+    if command not in COMMANDS:
+        raise _NameError(f"unknown command {command!r}")
+    spec = COMMANDS[command]
+    if len(names) != len(spec.kinds):
+        raise _NameError(
+            f"{command} expects {len(spec.kinds)} --name argument(s), got {len(names)}")
+    args = [_resolve(scenario, kind, name) for kind, name in zip(spec.kinds, names)]
+    if spec.takes_gamma:
+        args.append(gamma or (1, 0))
+    payload, lines = spec.fn(scenario, *args)
+    return Report(command, tuple(names), payload, tuple(lines))
 
 
 def _parse_gamma(text: str) -> tuple[int, int]:
@@ -294,25 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rimtori",
         description="exact rim-tori, vanishing-cycles, and deck-group calculator")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "compute": "canonical form of the rim tori module of a divisor",
-        "deck": "deck group of the contact cover of a divisor and profile",
-        "glue": "vanishing-cycles module of a named gluing",
-        "self-glue": "vanishing-cycles module of gluing a divisor to itself",
-        "vanishing": "largest useful relative insertion degree",
-        "invariance": "lift-independence and agreement with standard counts",
-        "finite-generation": "finite generation of the contact cover homology",
-        "verify-square": "exactness and commutativity of a 3x3 square",
-        "torus-cover": "shape and deck group of the explicit torus cover",
-        "base-point": "distinguished cover point of a sheet representative",
-    }
-    for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
         p.add_argument("--scenario", help="scenario file (JSON)")
         p.add_argument("--name", action="append", default=[], dest="names",
                        help="name to resolve in the scenario (repeatable)")
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        if name == "base-point":
+        if spec.takes_gamma:
             p.add_argument("--gamma", type=_parse_gamma, default=(1, 0),
                            help="sheet representative as 'a,b'")
     return parser

@@ -227,10 +227,6 @@ def deck_group(divisor: DivisorData, profile: ContactProfile) -> DeckGroupReport
     )
 
 
-def _side_quotient_relations(divisor: DivisorData) -> IntMatrix:
-    return divisor.h_xv.span_matrix()
-
-
 def vanishing_cycles(side_x: DivisorData, side_y: DivisorData,
                      ident: IntMatrix | None = None) -> FgAbGroup:
     """Vanishing-cycles module of a gluing, for injective divisor classes.
@@ -256,10 +252,7 @@ def vanishing_cycles(side_x: DivisorData, side_y: DivisorData,
     Homomorphism(h1x, h1y, ident)  # raises if relations are not respected
 
     stacked = IntMatrix.identity(n).vstack(ident)
-    relations = block_diagonal([
-        _side_quotient_relations(side_x),
-        _side_quotient_relations(side_y),
-    ])
+    relations = block_diagonal([side_x.h_xv.span_matrix(), side_y.h_xv.span_matrix()])
     return FgAbGroup(2 * n, stacked.hstack(relations))
 
 
@@ -281,17 +274,10 @@ def vanishing_cycles_from_pairs(rim_x: FgAbGroup, rim_y: FgAbGroup,
 def self_glue(divisor: DivisorData) -> FgAbGroup:
     """Vanishing-cycles module of gluing a manifold to itself.
 
-    Computed directly as the cokernel of the diagonal map into two copies
-    of the rim tori module; its canonical form agrees with the rim tori
-    module itself.
+    This is the gluing of the divisor to itself by the identity; its
+    canonical form agrees with the rim tori module itself.
     """
-    n = divisor.total_h1().ambient_rank
-    stacked = IntMatrix.identity(n).vstack(IntMatrix.identity(n))
-    relations = block_diagonal([
-        _side_quotient_relations(divisor),
-        _side_quotient_relations(divisor),
-    ])
-    return FgAbGroup(2 * n, stacked.hstack(relations))
+    return vanishing_cycles(divisor, divisor)
 
 
 def active_component_span(divisor: DivisorData,

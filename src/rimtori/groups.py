@@ -21,7 +21,6 @@ from .matrices import (
     integer_kernel,
     smith_normal_form,
     solve_integral,
-    unimodular_inverse,
 )
 
 
@@ -86,6 +85,8 @@ class FgAbGroup:
 
     # Two presentations are the same group when their relation lattices agree.
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, FgAbGroup):
             return NotImplemented
         return (self.ambient_rank == other.ambient_rank
@@ -160,15 +161,16 @@ class FgAbGroup:
         """One ambient vector per coset of a finite-index subgroup."""
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        dec = smith_normal_form(sub.span_matrix())
+        span = sub.span_matrix()
+        dec = smith_normal_form(span)
         diag = dec.diagonal()
         if len(diag) < self.ambient_rank or any(d == 0 for d in diag):
             raise ValueError("subgroup has infinite index; no finite transversal")
-        uinv = unimodular_inverse(dec.u)
-        reps = []
-        for combo in itertools.product(*(range(d) for d in diag)):
-            reps.append(uinv.apply(combo))
-        return reps
+        # U^-1 D = A V, so column i of U^-1 is column i of A V divided by d_i
+        av = span @ dec.v
+        uinv = IntMatrix.from_columns([[x // d for x in av.column(i)] for i, d in enumerate(diag)],
+                                      rows=self.ambient_rank)
+        return [uinv.apply(combo) for combo in itertools.product(*(range(d) for d in diag))]
 
     def __str__(self) -> str:
         return self.canonical_string()
@@ -278,11 +280,7 @@ class Homomorphism:
         return Homomorphism(inner.source, self.target, self.matrix @ inner.matrix)
 
     def kernel(self) -> Subgroup:
-        stacked = self.matrix.hstack(self.target.relations)
-        ker = integer_kernel(stacked)
-        n = self.source.ambient_rank
-        gens = [col[:n] for col in ker.columns()]
-        return Subgroup(self.source, IntMatrix.from_columns(gens, rows=n))
+        return self.preimage(self.target.zero_subgroup())
 
     def image(self) -> Subgroup:
         return Subgroup(self.target, self.matrix)

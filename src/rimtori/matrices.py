@@ -8,7 +8,6 @@ immutable values, so they can be shared freely and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 
@@ -130,10 +129,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
 
-    def drop_zero_columns(self) -> IntMatrix:
-        kept = [self.column(j) for j in range(self.cols) if any(self.column(j))]
-        return IntMatrix.from_columns(kept, rows=self.rows)
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -180,30 +175,6 @@ def determinant(a: IntMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of an integer matrix whose inverse is again integral."""
-    if a.rows != a.cols:
-        raise ValueError("inverse requires a square matrix")
-    n = a.rows
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a.entries)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        p = work[col][col]
-        work[col] = [x / p for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    inv = [row[n:] for row in work]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise ValueError("matrix has no integer inverse")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in inv], cols=n)
 
 
 @dataclass(frozen=True)
@@ -313,15 +284,11 @@ def hermite_form(a: IntMatrix) -> IntMatrix:
     canonical representative of that lattice: two matrices span the same
     lattice iff their Hermite forms are equal.
     """
-    h = _row_echelon_hermite(a.transpose())
-    return h.transpose().drop_zero_columns()
-
-
-def _row_echelon_hermite(a: IntMatrix) -> IntMatrix:
-    m, n = a.rows, a.cols
-    h = [list(row) for row in a.entries]
+    # echelon loop over the columns as vectors: coordinate c is pivoted by vector r
+    m = a.cols
+    h = [list(col) for col in a.columns()]
     r = 0
-    for c in range(n):
+    for c in range(a.rows):
         if r == m:
             break
         while True:
@@ -349,7 +316,8 @@ def _row_echelon_hermite(a: IntMatrix) -> IntMatrix:
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
             r += 1
-    return IntMatrix.from_rows(h, cols=n)
+    # vectors r and beyond have been reduced to zero
+    return IntMatrix.from_columns(h[:r], rows=a.rows)
 
 
 def solve_integral(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

@@ -10,7 +10,6 @@ from rimtori.matrices import (
     lattice_contains,
     smith_normal_form,
     solve_integral,
-    unimodular_inverse,
 )
 
 from oracles import lattice_points_in_box, random_matrix, snf_diagonal_first_pivot
@@ -173,14 +172,6 @@ def test_integer_kernel():
                                                for j in range(a.cols)], bound=3):
                 if all(x == 0 for x in a.apply(cand)):
                     assert lattice_contains(ker, cand)
-
-
-def test_unimodular_inverse():
-    m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    inv = unimodular_inverse(m)
-    assert m @ inv == IntMatrix.identity(2)
-    with pytest.raises(ValueError):
-        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
 
 def test_determinant():
