@@ -77,12 +77,16 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioInvariantError(message)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int: never read them as numbers
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int_list(values, context: str) -> list[int]:
     _require(isinstance(values, list), f"{context}: expected an array")
     out = []
     for v in values:
-        _require(isinstance(v, int) and not isinstance(v, bool),
-                 f"{context}: entries must be integers")
+        _require(_is_int(v), f"{context}: entries must be integers")
         out.append(v)
     return out
 
@@ -111,7 +115,7 @@ def _row_matrix(values, rows: int, cols: int, context: str) -> IntMatrix:
 def _parse_group(spec, context: str) -> FgAbGroup:
     _require(isinstance(spec, dict), f"{context}: expected an object")
     rank = spec.get("rank", 0)
-    _require(isinstance(rank, int) and rank >= 0, f"{context}: rank must be a nonnegative integer")
+    _require(_is_int(rank) and rank >= 0, f"{context}: rank must be a nonnegative integer")
     relations = _column_matrix(spec.get("relations", []), rank, f"{context}.relations")
     return FgAbGroup(rank, relations)
 
@@ -123,7 +127,7 @@ def _parse_component(spec, context: str) -> DivisorComponent:
     h1_spec = spec.get("h1")
     _require(isinstance(h1_spec, dict), f"{context}: component needs an h1 object")
     rank = h1_spec.get("rank", 0)
-    _require(isinstance(rank, int) and rank >= 0, f"{context}.h1: rank must be nonnegative")
+    _require(_is_int(rank) and rank >= 0, f"{context}.h1: rank must be a nonnegative integer")
     torsion = _int_list(h1_spec.get("torsion", []), f"{context}.h1.torsion")
     _require(all(d > 1 for d in torsion), f"{context}.h1.torsion: orders must exceed 1")
     h1 = FgAbGroup.from_invariants(rank, torsion)
@@ -144,7 +148,7 @@ def _parse_component(spec, context: str) -> DivisorComponent:
 def _parse_divisor(spec, context: str) -> DivisorData:
     _require(isinstance(spec, dict), f"{context}: expected an object")
     dim = spec.get("dim", 2)
-    _require(isinstance(dim, int), f"{context}: dim must be an integer")
+    _require(_is_int(dim), f"{context}: dim must be an integer")
     raw_components = spec.get("components", [])
     _require(isinstance(raw_components, list), f"{context}: components must be an array")
     components = tuple(_parse_component(c, f"{context}.components[{i}]")
@@ -236,6 +240,8 @@ def parse_scenario(text: str) -> Scenario:
     known = {"divisors", "profiles", "gluings", "squares"}
     unknown = set(document) - known
     _require(not unknown, f"unknown top-level keys: {sorted(unknown)}")
+    for key in sorted(document):
+        _require(isinstance(document[key], dict), f"{key}: expected an object")
 
     divisors = {name: _parse_divisor(spec, f"divisors.{name}")
                 for name, spec in document.get("divisors", {}).items()}

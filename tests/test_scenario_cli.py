@@ -199,3 +199,24 @@ def test_cli_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+SQUARE_NODES = [[{"rank": True}, {}, {}], [{}, {}, {}], [{}, {}, {}]]
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"divisors": {"d": {"components": [{"name": "V", "h1": {"rank": True}}]}}},
+     "rank must be a nonnegative integer"),
+    ({"squares": {"s": {"nodes": SQUARE_NODES}}}, "rank must be a nonnegative integer"),
+    ({"profiles": []}, "profiles: expected an object"),
+    ({"divisors": [1]}, "divisors: expected an object"),
+    ({"gluings": None}, "gluings: expected an object"),
+])
+def test_malformed_scenario_exits_2(tmp_path, capsys, document, message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(document))
+    with pytest.raises(ScenarioInvariantError, match=message):
+        load_scenario(path)
+    assert main(["compute", "--scenario", str(path), "--name", "d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
