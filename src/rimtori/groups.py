@@ -168,9 +168,12 @@ class FgAbGroup:
             raise ValueError("subgroup has infinite index; no finite transversal")
         # U^-1 D = A V, so column i of U^-1 is column i of A V divided by d_i
         av = span @ dec.v
-        uinv = IntMatrix.from_columns([[x // d for x in av.column(i)] for i, d in enumerate(diag)],
-                                      rows=self.ambient_rank)
-        return [uinv.apply(combo) for combo in itertools.product(*(range(d) for d in diag))]
+        columns = [[x // d for x in av.column(i)] for i, d in enumerate(diag)]
+        uinv = IntMatrix.from_columns(columns, rows=self.ambient_rank)
+        reps = []
+        for combo in itertools.product(*(range(d) for d in diag)):
+            reps.append(uinv.apply(combo))
+        return reps
 
     def __str__(self) -> str:
         return self.canonical_string()
