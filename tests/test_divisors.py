@@ -500,6 +500,32 @@ def test_deck_action_infinite_sheets_rejected():
         deck_action(d, ContactProfile.of([]), [(0, 0)], (0, 0))
 
 
+def test_deck_action_exact_output():
+    """Targets and witnesses are pinned exactly, not only up to the kernel."""
+    t = torus_component("T")
+    m = DivisorComponent("M", FgAbGroup.from_invariants(1, [4]))
+    total = t.h1.direct_sum(m.h1)
+    d = DivisorData((t, m), total.subgroup([[1, 0, 0, 2]]), dim_v=2)
+    profile = ContactProfile.of([2, 4], [2, 6])
+    # a shuffled transversal, each representative moved within its sheet
+    reps = [(2, 0, 0, -3), (2, -2, 1, 4), (2, 0, 1, -3), (-2, 1, 0, 5),
+            (2, 1, 1, 5), (0, -1, 0, -4), (0, -1, 1, 4), (0, -2, 0, 0)]
+    expected = {
+        (1, -1, 2, 3): [
+            (5, (0, 0, 0, 0, 1, -1, 0, 0)), (4, (0, -2, 0, 0, 1, 0, 0, 0)),
+            (6, (0, 0, 0, 0, 1, -5, 0, 0)), (7, (0, 1, 0, 0, 1, 5, 0, 0)),
+            (1, (0, 1, 0, 0, 1, 1, 0, 0)), (0, (0, -1, 0, 0, 1, 2, 0, 0)),
+            (2, (0, -1, 0, 0, 1, 6, 0, 0)), (3, (0, -2, 0, 0, 1, -4, 0, 0))],
+        (3, 0, -1, 1): [
+            (1, (0, 1, 0, 0, -1, -6, 0, 0)), (0, (0, -1, 0, 0, 0, 1, 0, 0)),
+            (7, (0, 1, 0, 0, 0, -6, 0, 0)), (6, (0, 1, 0, 0, -1, 0, 0, 0)),
+            (5, (0, 1, 0, 0, 0, 0, 0, 0)), (4, (0, -1, 0, 0, -1, -5, 0, 0)),
+            (3, (0, -1, 0, 0, 0, -5, 0, 0)), (2, (0, -1, 0, 0, -1, 1, 0, 0))],
+    }
+    for eta, pairs in expected.items():
+        assert deck_action(d, profile, reps, eta) == pairs
+
+
 def check_action_additivity(divisor, profile, reps, etas):
     pre = contact_preimage(divisor, profile)
     source_rank = contact_sum_hom(divisor, profile).source.ambient_rank
