@@ -10,6 +10,7 @@ computation precondition.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -271,7 +272,9 @@ def _parse_gamma(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every command, built once and shared by every caller; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="rimtori",
         description="exact rim-tori, vanishing-cycles, and deck-group calculator")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .groups import (
@@ -23,7 +24,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
 )
-from .matrices import IntMatrix, block_diagonal, determinant, solve_integral
+from .matrices import IntMatrix, block_diagonal, determinant, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -78,29 +79,22 @@ class DivisorData:
         if self.intersections is not None and len(self.intersections) != len(self.components):
             raise ValueError("one intersection number per component required")
 
+    @cached_property
+    def _total_h1(self) -> FgAbGroup:
+        return FgAbGroup.direct_sum_of(comp.h1 for comp in self.components)
+
     def total_h1(self) -> FgAbGroup:
         """Direct sum of the component H_1 groups, in declaration order."""
-        total = FgAbGroup.trivial()
-        for comp in self.components:
-            total = total.direct_sum(comp.h1)
-        return total
+        return self._total_h1
 
-    def block_offsets(self) -> list[int]:
-        offsets = [0]
-        for comp in self.components:
-            offsets.append(offsets[-1] + comp.h1.ambient_rank)
-        return offsets
+    def component_columns(self, blocks: dict[int, IntMatrix]) -> IntMatrix:
+        """Columns of per-component matrices, zero-padded into the total ambient.
 
-    def component_inclusion_columns(self, index: int) -> list[tuple[int, ...]]:
-        """Ambient columns of the standard generators of component ``index``."""
-        offsets = self.block_offsets()
-        n = offsets[-1]
-        cols = []
-        for k in range(self.components[index].h1.ambient_rank):
-            col = [0] * n
-            col[offsets[index] + k] = 1
-            cols.append(tuple(col))
-        return cols
+        ``blocks`` maps a component index to a matrix over that component's
+        H_1 ambient; the columns come out in component order.
+        """
+        return block_diagonal(blocks.get(r, IntMatrix.zeros(comp.h1.ambient_rank, 0))
+                              for r, comp in enumerate(self.components))
 
 
 @dataclass(frozen=True)
@@ -154,24 +148,15 @@ def contact_sum_hom(divisor: DivisorData, profile: ContactProfile) -> Homomorphi
     contact orders.
     """
     check_profile(divisor, profile)
-    source = FgAbGroup.trivial()
-    blocks: list[IntMatrix] = []
-    offsets = divisor.block_offsets()
-    n = offsets[-1]
-    for r, comp in enumerate(divisor.components):
-        nr = comp.h1.ambient_rank
-        for weight in profile.tuples[r]:
-            source = source.direct_sum(comp.h1)
-            cols = []
-            for k in range(nr):
-                col = [0] * n
-                col[offsets[r] + k] = weight
-                cols.append(col)
-            blocks.append(IntMatrix.from_columns(cols, rows=n))
-    matrix = blocks[0] if blocks else IntMatrix.zeros(n, 0)
-    for b in blocks[1:]:
-        matrix = matrix.hstack(b)
-    return Homomorphism(source, divisor.total_h1(), matrix)
+    pairs = list(zip(divisor.components, profile.tuples))
+    source = FgAbGroup.direct_sum_of(comp.h1 for comp, weights in pairs for _ in weights)
+    blocks = {}
+    for r, (comp, weights) in enumerate(pairs):
+        # [w1*I | w2*I | ...]: one identity block per contact point on component r
+        n = comp.h1.ambient_rank
+        blocks[r] = IntMatrix.from_rows([[w * (i == k) for w in weights for k in range(n)]
+                                         for i in range(n)])
+    return Homomorphism(source, divisor.total_h1(), divisor.component_columns(blocks))
 
 
 def rim_tori_module(divisor: DivisorData) -> tuple[FgAbGroup, Homomorphism]:
@@ -213,8 +198,8 @@ class DeckGroupReport:
 
 
 def deck_group(divisor: DivisorData, profile: ContactProfile) -> DeckGroupReport:
-    rim, _ = rim_tori_module(divisor)
     image = contact_image(divisor, profile)
+    rim = image.ambient
     sheet_group, _ = rim.quotient(image)
     image_group = image.as_group()
     total = sheet_group.direct_sum(image_group)
@@ -289,11 +274,9 @@ def active_component_span(divisor: DivisorData,
     """
     check_profile(divisor, profile)
     rim, _ = rim_tori_module(divisor)
-    cols: list[tuple[int, ...]] = []
-    for r, s in enumerate(profile.tuples):
-        if s:
-            cols.extend(divisor.component_inclusion_columns(r))
-    span = rim.subgroup(IntMatrix.from_columns(cols, rows=rim.ambient_rank))
+    span = rim.subgroup(divisor.component_columns(
+        {r: IntMatrix.identity(comp.h1.ambient_rank)
+         for r, (comp, s) in enumerate(zip(divisor.components, profile.tuples)) if s}))
     finite = rim.index_of(span) is not None
     return span, finite
 
@@ -369,30 +352,20 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
     component to be a torus (which forces a connected cover here).
     """
     check_profile(divisor, profile)
-    rim, _ = rim_tori_module(divisor)
     image = contact_image(divisor, profile)
+    rim = image.ambient
     coprime = image == rim.full_subgroup()
 
-    offsets = divisor.block_offsets()
-    n = offsets[-1]
+    def flux_span(indices):
+        return rim.subgroup(divisor.component_columns(
+            {r: divisor.components[r].flux_generators() for r in indices}))
 
-    def flux_columns(indices):
-        cols = []
-        for r in indices:
-            comp = divisor.components[r]
-            for col in comp.flux_generators().columns():
-                full = [0] * n
-                for k, x in enumerate(col):
-                    full[offsets[r] + k] = x
-                cols.append(tuple(full))
-        return IntMatrix.from_columns(cols, rows=n)
-
+    everyone = range(len(divisor.components))
     if len(divisor.components) <= 1:
-        flux_ok = rim.subgroup(flux_columns(range(len(divisor.components)))) == rim.full_subgroup()
+        flux_ok = flux_span(everyone) == rim.full_subgroup()
     else:
         active = [r for r, s in enumerate(profile.tuples) if s]
-        everyone = range(len(divisor.components))
-        flux_ok = rim.subgroup(flux_columns(active)) == rim.subgroup(flux_columns(everyone))
+        flux_ok = flux_span(active) == flux_span(everyone)
 
     rank_small = rim.free_rank() <= 1
     all_torus = bool(divisor.components) and all(c.is_torus for c in divisor.components)
@@ -423,37 +396,32 @@ def deck_action(divisor: DivisorData, profile: ContactProfile,
     phi = contact_sum_hom(divisor, profile)
     n = divisor.total_h1().ambient_rank
     reps = [tuple(int(x) for x in v) for v in representatives]
-    for v in reps:
-        if len(v) != n:
-            raise ValueError("representatives must be ambient H_1 vectors")
+    if any(len(v) != n for v in reps):
+        raise ValueError("representatives must be ambient H_1 vectors")
     if len(tuple(eta)) != n:
         raise ValueError("eta must be an ambient H_1 vector")
 
-    # lattice defining the sheet set: contact image plus h_xv plus relations
-    sheet_lattice = phi.matrix.hstack(divisor.h_xv.span_matrix())
-    rim, _ = rim_tori_module(divisor)
-    sheet_count = rim.index_of(rim.subgroup(phi.matrix))
-    if sheet_count is None:
+    # the sheets are the cosets of the contact image plus h_xv plus relations;
+    # with D = U L V for that lattice L, the sheet of v is U v mod diag(D)
+    dec = smith_normal_form(phi.matrix.hstack(divisor.h_xv.span_matrix()))
+    diag = dec.diagonal()
+    if len(diag) < n or 0 in diag:
         raise ValueError("the sheet set is infinite; no finite transversal exists")
+    sheet_count = math.prod(diag)
     if len(reps) != sheet_count:
         raise ValueError(f"expected {sheet_count} coset representatives, got {len(reps)}")
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            diff = tuple(x - y for x, y in zip(reps[a], reps[b]))
-            if solve_integral(sheet_lattice, diff) is not None:
-                raise ValueError("representatives are not pairwise distinct sheets")
+
+    def sheet(v):
+        return tuple(x % d for x, d in zip(dec.u.apply(v), diag))
+
+    index = {sheet(v): j for j, v in enumerate(reps)}
+    if len(index) != len(reps):
+        raise ValueError("representatives are not pairwise distinct sheets")
 
     result = []
-    for j, gamma in enumerate(reps):
+    for gamma in reps:
         shifted = tuple(g + e for g, e in zip(gamma, eta))
-        target = None
-        for jp, candidate in enumerate(reps):
-            diff = tuple(x - y for x, y in zip(shifted, candidate))
-            witness = solve_integral(sheet_lattice, diff)
-            if witness is not None:
-                target = (jp, tuple(witness[: phi.source.ambient_rank]))
-                break
-        if target is None:
-            raise RuntimeError("transversal validated but no sheet matched; internal error")
-        result.append(target)
+        target = index[sheet(shifted)]
+        witness = dec.solve(tuple(x - y for x, y in zip(shifted, reps[target])))
+        result.append((target, witness[: phi.source.ambient_rank]))
     return result

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .matrices import (
     IntMatrix,
+    SmithDecomposition,
     block_diagonal,
     hermite_form,
     integer_kernel,
     smith_normal_form,
-    solve_integral,
 )
 
 
@@ -53,7 +54,12 @@ def format_canonical(form: CanonicalForm) -> str:
 
 @dataclass(frozen=True)
 class FgAbGroup:
-    """Z^ambient_rank modulo the column lattice of ``relations``."""
+    """Z^ambient_rank modulo the column lattice of ``relations``.
+
+    A group computes the Hermite and Smith forms of ``relations`` at most
+    once, and a subgroup those of its span matrix; they answer every
+    equality, invariant and membership question about the object.
+    """
 
     ambient_rank: int
     relations: IntMatrix
@@ -71,17 +77,27 @@ class FgAbGroup:
         return FgAbGroup.free(0)
 
     @staticmethod
+    def direct_sum_of(groups: Iterable[FgAbGroup]) -> FgAbGroup:
+        """Direct sum in the given order, relation blocks along the diagonal."""
+        groups = list(groups)
+        return FgAbGroup(sum(g.ambient_rank for g in groups),
+                         block_diagonal(g.relations for g in groups))
+
+    @staticmethod
     def from_invariants(free_rank: int, torsion: Sequence[int]) -> FgAbGroup:
         """Z^free_rank plus a Z/d summand per entry of ``torsion``."""
-        n = free_rank + len(torsion)
-        cols = []
-        for k, d in enumerate(torsion):
-            if d <= 1:
-                raise ValueError("torsion orders must exceed 1")
-            col = [0] * n
-            col[free_rank + k] = d
-            cols.append(col)
-        return FgAbGroup(n, IntMatrix.from_columns(cols, rows=n))
+        if any(d <= 1 for d in torsion):
+            raise ValueError("torsion orders must exceed 1")
+        cyclic = [FgAbGroup(1, IntMatrix.from_rows([[d]])) for d in torsion]
+        return FgAbGroup.direct_sum_of([FgAbGroup.free(free_rank), *cyclic])
+
+    @cached_property
+    def _hermite(self) -> IntMatrix:
+        return hermite_form(self.relations)
+
+    @cached_property
+    def _smith(self) -> SmithDecomposition:
+        return smith_normal_form(self.relations)
 
     # Two presentations are the same group when their relation lattices agree.
     def __eq__(self, other) -> bool:
@@ -89,15 +105,14 @@ class FgAbGroup:
             return True
         if not isinstance(other, FgAbGroup):
             return NotImplemented
-        return (self.ambient_rank == other.ambient_rank
-                and hermite_form(self.relations) == hermite_form(other.relations))
+        return self.ambient_rank == other.ambient_rank and self._hermite == other._hermite
 
     def __hash__(self) -> int:
-        return hash((self.ambient_rank, hermite_form(self.relations)))
+        return hash((self.ambient_rank, self._hermite))
 
     def canonical_form(self) -> CanonicalForm:
         """Free rank and invariant factors > 1, in divisibility order."""
-        diag = smith_normal_form(self.relations).diagonal()
+        diag = self._smith.diagonal()
         rank = sum(1 for d in diag if d != 0)
         return (self.ambient_rank - rank, tuple(d for d in diag if d > 1))
 
@@ -135,7 +150,7 @@ class FgAbGroup:
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
         """Whether the class of ``vector`` is zero, i.e. lies in the relations."""
-        return solve_integral(self.relations, vector) is not None
+        return self._smith.solve(vector) is not None
 
     # -- constructions ----------------------------------------------------
 
@@ -148,8 +163,7 @@ class FgAbGroup:
         return quot, proj
 
     def direct_sum(self, other: FgAbGroup) -> FgAbGroup:
-        return FgAbGroup(self.ambient_rank + other.ambient_rank,
-                         block_diagonal([self.relations, other.relations]))
+        return FgAbGroup.direct_sum_of([self, other])
 
     def index_of(self, sub: Subgroup) -> int | None:
         """Index [G : S], or None when infinite."""
@@ -161,19 +175,15 @@ class FgAbGroup:
         """One ambient vector per coset of a finite-index subgroup."""
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        span = sub.span_matrix()
-        dec = smith_normal_form(span)
+        dec = sub._smith
         diag = dec.diagonal()
         if len(diag) < self.ambient_rank or any(d == 0 for d in diag):
             raise ValueError("subgroup has infinite index; no finite transversal")
         # U^-1 D = A V, so column i of U^-1 is column i of A V divided by d_i
-        av = span @ dec.v
+        av = sub.span_matrix() @ dec.v
         columns = [[x // d for x in av.column(i)] for i, d in enumerate(diag)]
         uinv = IntMatrix.from_columns(columns, rows=self.ambient_rank)
-        reps = []
-        for combo in itertools.product(*(range(d) for d in diag)):
-            reps.append(uinv.apply(combo))
-        return reps
+        return [uinv.apply(combo) for combo in itertools.product(*(range(d) for d in diag))]
 
     def __str__(self) -> str:
         return self.canonical_string()
@@ -194,20 +204,27 @@ class Subgroup:
         """Generators together with the ambient relations: the full lattice."""
         return self.generators.hstack(self.ambient.relations)
 
-    def hermite_span(self) -> IntMatrix:
+    @cached_property
+    def _hermite(self) -> IntMatrix:
         return hermite_form(self.span_matrix())
+
+    @cached_property
+    def _smith(self) -> SmithDecomposition:
+        return smith_normal_form(self.span_matrix())
 
     # Equality is equality of lattices [generators | relations].
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Subgroup):
             return NotImplemented
-        return self.ambient == other.ambient and self.hermite_span() == other.hermite_span()
+        return self.ambient == other.ambient and self._hermite == other._hermite
 
     def __hash__(self) -> int:
-        return hash((self.ambient, self.hermite_span()))
+        return hash((self.ambient, self._hermite))
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
-        return solve_integral(self.span_matrix(), vector) is not None
+        return self._smith.solve(vector) is not None
 
     def contains(self, other: Subgroup) -> bool:
         if other.ambient != self.ambient:
@@ -231,17 +248,15 @@ class Subgroup:
 
     def as_group(self) -> FgAbGroup:
         """The subgroup as an abstract group (its own presentation)."""
-        basis = self.hermite_span()
-        cols = []
-        for rel in self.ambient.relations.columns():
-            x = solve_integral(basis, rel)
-            cols.append(x)
+        basis = self._hermite
+        dec = smith_normal_form(basis)
+        cols = [dec.solve(rel) for rel in self.ambient.relations.columns()]
         return FgAbGroup(basis.cols, IntMatrix.from_columns(cols, rows=basis.cols))
 
     def embedding(self) -> tuple[FgAbGroup, Homomorphism]:
         """The abstract group together with its inclusion into the ambient."""
         group = self.as_group()
-        return group, Homomorphism(group, self.ambient, self.hermite_span())
+        return group, Homomorphism(group, self.ambient, self._hermite)
 
     def canonical_form(self) -> CanonicalForm:
         return self.as_group().canonical_form()
@@ -263,11 +278,10 @@ class Homomorphism:
             raise ValueError("matrix row count must equal target ambient rank")
         if self.matrix.cols != self.source.ambient_rank:
             raise ValueError("matrix column count must equal source ambient rank")
-        for col in self.source.relations.columns():
-            image = self.matrix.apply(col)
-            if solve_integral(self.target.relations, image) is None:
-                raise IllDefinedHomomorphismError(
-                    "matrix does not send source relations into target relations")
+        images = self.matrix @ self.source.relations
+        if not all(self.target.contains_vector(col) for col in images.columns()):
+            raise IllDefinedHomomorphismError(
+                "matrix does not send source relations into target relations")
 
     @staticmethod
     def identity(group: FgAbGroup) -> Homomorphism:

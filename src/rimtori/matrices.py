@@ -194,6 +194,21 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
 
+    def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
+        """Solve A @ x = b over the integers, as D y = U b and x = V y; None if unsolvable."""
+        c = self.u.apply(b)
+        diag = self.diagonal()
+        y = [0] * self.v.rows
+        for i, ci in enumerate(c):
+            di = diag[i] if i < len(diag) else 0
+            if di:
+                if ci % di:
+                    return None
+                y[i] = ci // di
+            elif ci:
+                return None
+        return self.v.apply(y)
+
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers with transform tracking.
@@ -324,19 +339,7 @@ def solve_integral(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Solve a @ x = b over the integers; None when no solution exists."""
     if len(b) != a.rows:
         raise ValueError("right-hand side length does not match row count")
-    dec = smith_normal_form(a)
-    c = dec.u.apply(b)
-    y = [0] * a.cols
-    k = min(a.rows, a.cols)
-    for i in range(a.rows):
-        di = dec.d[i, i] if i < k else 0
-        if di:
-            if c[i] % di:
-                return None
-            y[i] = c[i] // di
-        elif c[i]:
-            return None
-    return dec.v.apply(y)
+    return smith_normal_form(a).solve(b)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:

@@ -153,9 +153,7 @@ def _parse_divisor(spec, context: str) -> DivisorData:
     _require(isinstance(raw_components, list), f"{context}: components must be an array")
     components = tuple(_parse_component(c, f"{context}.components[{i}]")
                        for i, c in enumerate(raw_components))
-    total = FgAbGroup.trivial()
-    for comp in components:
-        total = total.direct_sum(comp.h1)
+    total = FgAbGroup.direct_sum_of(comp.h1 for comp in components)
     gens = _column_matrix(spec.get("h_xv", []), total.ambient_rank, f"{context}.h_xv")
     intersections = spec.get("intersections")
     if intersections is not None:

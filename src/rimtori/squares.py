@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FgAbGroup, Homomorphism, Subgroup
-from .matrices import IntMatrix, solve_integral
+from .matrices import IntMatrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -109,12 +109,10 @@ def verify(square: ExactSquare) -> ExactnessReport:
 
 
 def _express_in_basis(basis: IntMatrix, columns: IntMatrix, what: str) -> IntMatrix:
-    coords = []
-    for col in columns.columns():
-        x = solve_integral(basis, col)
-        if x is None:
-            raise ValueError(f"containment violation: {what}")
-        coords.append(x)
+    dec = smith_normal_form(basis)
+    coords = [dec.solve(col) for col in columns.columns()]
+    if None in coords:
+        raise ValueError(f"containment violation: {what}")
     return IntMatrix.from_columns(coords, rows=basis.cols)
 
 

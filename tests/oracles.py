@@ -1,10 +1,13 @@
 """Independent computation routes used to check the library against.
 
-Nothing here imports the reduction code under test: the Smith-form
+Only one helper here uses the reduction code under test.  The Smith-form
 oracle uses a different pivoting rule (first nonzero entry instead of
 minimal absolute value) and returns only the diagonal, the sympy helpers
 go through sympy's own normal-form implementation, and the lattice
-helpers brute-force small boxes.
+helpers brute-force small boxes.  The exception is the quadratic sheet
+search: it calls the library's ``solve_integral``, because ``deck_action``
+promises exactly that solver's witnesses, and what it checks
+independently is how sheets are told apart and matched.
 """
 
 from __future__ import annotations
@@ -17,7 +20,16 @@ from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
-from rimtori import DivisorComponent, DivisorData, FgAbGroup, Homomorphism, IntMatrix
+from rimtori import (
+    DivisorComponent,
+    DivisorData,
+    FgAbGroup,
+    Homomorphism,
+    IntMatrix,
+    contact_sum_hom,
+    rim_tori_module,
+    solve_integral,
+)
 from rimtori.squares import ExactSquare
 
 
@@ -200,6 +212,38 @@ def square_perturbations(square: ExactSquare):
                             yield ExactSquare(square.nodes, tuple(maps), square.col_maps)
                         else:
                             yield ExactSquare(square.nodes, square.row_maps, tuple(maps))
+
+
+# -- reference sheet action ------------------------------------------------
+
+def deck_action_quadratic(divisor, profile, representatives, eta):
+    """The sheet action by pairwise search, one ``solve_integral`` per pair.
+
+    For k sheets this makes about k^2 solves: every pair of representatives
+    is tested for lying on one sheet, and each shifted representative is
+    tried against the representatives in order until one solve succeeds.
+    """
+    phi = contact_sum_hom(divisor, profile)
+    sheet_lattice = phi.matrix.hstack(divisor.h_xv.span_matrix())
+    reps = [tuple(v) for v in representatives]
+    rim, _ = rim_tori_module(divisor)
+    if rim.index_of(rim.subgroup(phi.matrix)) != len(reps):
+        raise ValueError("not a full transversal")
+    for a in range(len(reps)):
+        for b in range(a + 1, len(reps)):
+            diff = tuple(x - y for x, y in zip(reps[a], reps[b]))
+            if solve_integral(sheet_lattice, diff) is not None:
+                raise ValueError("representatives are not pairwise distinct sheets")
+    result = []
+    for gamma in reps:
+        shifted = tuple(g + e for g, e in zip(gamma, eta))
+        for jp, candidate in enumerate(reps):
+            diff = tuple(x - y for x, y in zip(shifted, candidate))
+            witness = solve_integral(sheet_lattice, diff)
+            if witness is not None:
+                result.append((jp, witness[: phi.source.ambient_rank]))
+                break
+    return result
 
 
 # -- random generators ----------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rimtori import (
     ContactProfile,
@@ -24,7 +25,7 @@ from rimtori import (
     vanishing_threshold,
 )
 
-from oracles import random_divisor, sympy_cokernel_canonical
+from oracles import deck_action_quadratic, random_divisor, sympy_cokernel_canonical
 
 Z2 = FgAbGroup.free(2)
 
@@ -524,6 +525,42 @@ def test_deck_action_exact_output():
     }
     for eta, pairs in expected.items():
         assert deck_action(d, profile, reps, eta) == pairs
+
+
+@st.composite
+def sheet_problems(draw):
+    """A small divisor, a profile with finitely many sheets, a moved and
+    shuffled transversal, and a class to act with."""
+    comps = []
+    for r in range(draw(st.integers(1, 2))):
+        torsion = draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2))
+        h1 = FgAbGroup.from_invariants(draw(st.integers(1, 2)), torsion)
+        comps.append(DivisorComponent(f"V{r}", h1))
+    total = FgAbGroup.direct_sum_of(c.h1 for c in comps)
+    n = total.ambient_rank
+    vector = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    swept = IntMatrix.from_columns(draw(st.lists(vector, max_size=1)), rows=n)
+    divisor = DivisorData(tuple(comps), total.subgroup(swept), dim_v=2)
+    weights = st.lists(st.sampled_from([2, -2, 3, -3, 4]), min_size=1, max_size=2)
+    profile = ContactProfile.of(*(draw(weights) for _ in comps))
+
+    rim, _ = rim_tori_module(divisor)
+    image = contact_image(divisor, profile)
+    assume(rim.index_of(image) <= 64)
+    lattice = contact_sum_hom(divisor, profile).matrix.hstack(divisor.h_xv.span_matrix())
+    coefficients = st.lists(st.integers(-2, 2), min_size=lattice.cols, max_size=lattice.cols)
+    reps = [tuple(x + y for x, y in zip(v, lattice.apply(draw(coefficients))))
+            for v in rim.coset_representatives(image)]
+    reps = draw(st.permutations(reps))
+    return divisor, profile, reps, tuple(draw(vector))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sheet_problems())
+def test_deck_action_matches_quadratic_search(problem):
+    divisor, profile, reps, eta = problem
+    assert deck_action(divisor, profile, reps, eta) == deck_action_quadratic(
+        divisor, profile, reps, eta)
 
 
 def check_action_additivity(divisor, profile, reps, etas):
