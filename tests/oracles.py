@@ -1,13 +1,16 @@
 """Independent computation routes used to check the library against.
 
 Only one helper here uses the reduction code under test.  The Smith-form
-oracle uses a different pivoting rule (first nonzero entry instead of
-minimal absolute value) and returns only the diagonal, the sympy helpers
-go through sympy's own normal-form implementation, and the lattice
-helpers brute-force small boxes.  The exception is the quadratic sheet
-search: it calls the library's ``solve_integral``, because ``deck_action``
-promises exactly that solver's witnesses, and what it checks
-independently is how sheets are told apart and matched.
+diagonal oracle uses a different pivoting rule (first nonzero entry
+instead of minimal absolute value) and returns only the diagonal, the
+sympy helpers go through sympy's own normal-form implementation, and the
+lattice helpers brute-force small boxes.  The exception is the quadratic
+sheet search: it calls the library's ``solve_integral``, because
+``deck_action`` promises exactly that solver's witnesses, and what it
+checks independently is how sheets are told apart and matched.
+``smith_normal_form_tracked`` is a frozen copy of the library's Smith
+elimination with eagerly tracked transforms; the library must give
+exactly its U, D and V.
 """
 
 from __future__ import annotations
@@ -244,6 +247,116 @@ def deck_action_quadratic(divisor, profile, representatives, eta):
                 result.append((jp, witness[: phi.source.ambient_rank]))
                 break
     return result
+
+
+# -- reference Smith decomposition ---------------------------------------
+
+def smith_normal_form_tracked(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(U, D, V) with D = U @ A @ V, every operation applied to U and V as it happens.
+
+    This is the library's Smith elimination with eager transforms, kept
+    verbatim: the library promises the same U, D and V, and so the same
+    solutions and kernel bases.  Pivots are chosen as the
+    minimal-absolute-value nonzero entry of the remaining block, ties
+    broken by (row, col), so the output is deterministic.  Empty matrices
+    are legal and produce identity transforms.
+    """
+    m, n = a.rows, a.cols
+    d = [list(row) for row in a.entries]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in d:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(dst, src, c):
+        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def add_col(dst, src, c):
+        for row in d:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    for t in range(min(m, n)):
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = d[i][j]
+                if x != 0 and (pivot is None or abs(x) < abs(d[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            i = next((i for i in range(m) if i != t and d[i][t] != 0), None)
+            if i is not None:
+                q = d[i][t] // d[t][t]
+                add_row(i, t, -q)
+                if d[i][t]:
+                    # remainder is strictly smaller: adopt it as the pivot
+                    swap_rows(i, t)
+                continue
+            j = next((j for j in range(n) if j != t and d[t][j] != 0), None)
+            if j is not None:
+                q = d[t][j] // d[t][t]
+                add_col(j, t, -q)
+                if d[t][j]:
+                    swap_cols(j, t)
+                continue
+            bad = next((i for i in range(t + 1, m)
+                        if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
+            if bad is None:
+                break
+            # pull the offending row up so the pivot shrinks to the gcd
+            add_row(t, bad, 1)
+        if d[t][t] < 0:
+            negate_row(t)
+
+    return (
+        IntMatrix.from_rows(u, cols=m),
+        IntMatrix.from_rows(d, cols=n),
+        IntMatrix.from_rows(v, cols=n),
+    )
+
+
+def tracked_solve(a: IntMatrix, b) -> tuple[int, ...] | None:
+    """Integer solution of a @ x = b as V (D^-1 U b) from the tracked decomposition."""
+    u, d, v = smith_normal_form_tracked(a)
+    c = u.apply(b)
+    diag = d.diagonal()
+    y = [0] * v.rows
+    for i, ci in enumerate(c):
+        di = diag[i] if i < len(diag) else 0
+        if di:
+            if ci % di:
+                return None
+            y[i] = ci // di
+        elif ci:
+            return None
+    return v.apply(y)
+
+
+def tracked_kernel(a: IntMatrix) -> IntMatrix:
+    """The columns of V past the rank, from the tracked decomposition."""
+    _, d, v = smith_normal_form_tracked(a)
+    rank = sum(1 for x in d.diagonal() if x)
+    return IntMatrix.from_columns([v.column(j) for j in range(rank, a.cols)], rows=a.cols)
 
 
 # -- random generators ----------------------------------------------------

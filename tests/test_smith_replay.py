@@ -1,0 +1,68 @@
+"""The Smith decomposition gives exactly the U, D, V of the eager-transform reference."""
+
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from rimtori import FgAbGroup, IntMatrix, integer_kernel, smith_normal_form, solve_integral
+
+from oracles import smith_normal_form_tracked, tracked_kernel, tracked_solve
+
+
+@st.composite
+def smith_cases(draw):
+    """A matrix up to 6x6 (zero rows or columns allowed), a solution vector and a free vector."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    if n >= 3 and draw(st.booleans()):
+        # one column a combination of two others: rank deficient
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        for row in rows:
+            row[k] = c1 * row[i] + c2 * row[j]
+    x0 = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    return IntMatrix.from_rows(rows, cols=n), x0, b
+
+
+def assert_matches_reference(a, x0, b):
+    u, d, v = smith_normal_form_tracked(a)
+    dec = smith_normal_form(a)
+    assert (dec.u, dec.d, dec.v) == (u, d, v)
+    for rhs in (a.apply(x0), tuple(b)):
+        assert solve_integral(a, rhs) == tracked_solve(a, rhs)
+    assert integer_kernel(a) == tracked_kernel(a)
+    diag = d.diagonal()
+    rank = sum(1 for x in diag if x)
+    assert FgAbGroup(a.rows, a).canonical_form() == (
+        a.rows - rank, tuple(x for x in diag if x > 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(smith_cases())
+@example((IntMatrix.zeros(0, 0), [], []))
+@example((IntMatrix.zeros(0, 3), [1, -2, 3], []))
+@example((IntMatrix.zeros(3, 0), [], [1, 0, -1]))
+@example((IntMatrix.zeros(2, 3), [1, 1, 1], [0, 2]))
+def test_smith_matches_tracked_reference(case):
+    assert_matches_reference(*case)
+
+
+def test_smith_matches_tracked_reference_seeded_large():
+    rng = random.Random(2024)
+    for n in (10, 12, 14):
+        for deficient in (False, True):
+            rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+            if deficient:
+                i, j, k = rng.sample(range(n), 3)
+                for row in rows:
+                    row[k] = row[i] - row[j]
+            x0 = [rng.randint(-5, 5) for _ in range(n)]
+            b = [rng.randint(-9, 9) for _ in range(n)]
+            assert_matches_reference(IntMatrix.from_rows(rows, cols=n), x0, b)
