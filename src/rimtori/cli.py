@@ -3,8 +3,10 @@
 Every command reads a scenario file, resolves the requested names, runs
 one library operation, and prints a report either as stable line-oriented
 text or as a single JSON document.  Exit status 0 means success, 2 a
-parse/validation problem (including unresolved names), and 3 a violated
-computation precondition.
+parse/validation problem (including unresolved names), 3 a violated
+computation precondition, and 4 an internal error: a fault in rimtori
+itself, reported as one ``error: internal: <type>: <message>`` line
+instead of a traceback.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .squares import elliptic_p1xt2_square, verify
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
+EXIT_INTERNAL = 4
 
 BUILTIN_SQUARES = {
     "elliptic_p1xt2": elliptic_p1xt2_square,
@@ -301,16 +304,17 @@ def main(argv: list[str] | None = None) -> int:
             scenario = Scenario()
         report = run(args.command, scenario, args.names,
                      gamma=getattr(args, "gamma", None))
+        output = report.to_machine() if args.format == "machine" else report.to_text()
     except (ScenarioError, _NameError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    if args.format == "machine":
-        print(report.to_machine())
-    else:
-        print(report.to_text())
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(output)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from .matrices import (
     block_diagonal,
     hermite_form,
     integer_kernel,
-    smith_normal_form,
+    smith_decomposition,
 )
 
 
@@ -97,7 +97,7 @@ class FgAbGroup:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        return smith_normal_form(self.relations)
+        return smith_decomposition(self.relations)
 
     # Two presentations are the same group when their relation lattices agree.
     def __eq__(self, other) -> bool:
@@ -210,7 +210,7 @@ class Subgroup:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        return smith_normal_form(self.span_matrix())
+        return smith_decomposition(self.span_matrix())
 
     # Equality is equality of lattices [generators | relations].
     def __eq__(self, other) -> bool:
@@ -249,7 +249,7 @@ class Subgroup:
     def as_group(self) -> FgAbGroup:
         """The subgroup as an abstract group (its own presentation)."""
         basis = self._hermite
-        dec = smith_normal_form(basis)
+        dec = smith_decomposition(basis)
         cols = [dec.solve(rel) for rel in self.ambient.relations.columns()]
         return FgAbGroup(basis.cols, IntMatrix.from_columns(cols, rows=basis.cols))
 

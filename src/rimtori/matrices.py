@@ -8,6 +8,7 @@ immutable values, so they can be shared freely and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -177,16 +178,69 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+# An elementary operation (i, j, c) on entries i, j of a vector, or on rows
+# i, j of a matrix: add c times j to i when c != 0, swap them when c == 0,
+# and negate i when (i, j, c) == (i, i, -1).  Column operations never negate.
+Op = tuple[int, int, int]
+
+
+def _replay_on_vector(ops: Iterable[Op], x: list[int]) -> None:
+    for i, j, c in ops:
+        if not c:
+            x[i], x[j] = x[j], x[i]
+        elif i == j:
+            x[i] = -x[i]
+        else:
+            x[i] += c * x[j]
+
+
+def _replay_on_rows(ops: Iterable[Op], rows: list[list[int]]) -> None:
+    for i, j, c in ops:
+        if not c:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal D with D = U @ A @ V.
+    """Diagonal D = U @ A @ V, kept as D plus the operations that produced it.
 
     The diagonal entries of D are nonnegative and each divides the next.
+    ``row_ops`` are the row operations of the elimination in order, so U
+    is them applied to the identity; ``col_ops`` are its column
+    operations, so V is them applied to the identity's columns.  ``u``
+    and ``v`` are built from the logs when first read; ``solve`` and
+    ``kernel`` replay the logs on vectors and build neither.
     """
 
-    u: IntMatrix
     d: IntMatrix
-    v: IntMatrix
+    row_ops: tuple[Op, ...]
+    col_ops: tuple[Op, ...]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        m = self.d.rows
+        rows = [[int(i == j) for j in range(m)] for i in range(m)]
+        _replay_on_rows(self.row_ops, rows)
+        return IntMatrix.from_rows(rows, cols=m)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        n = self.d.cols
+        # a column operation on V is the same row operation on V^T
+        columns = [[int(i == j) for j in range(n)] for i in range(n)]
+        _replay_on_rows(self.col_ops, columns)
+        return IntMatrix.from_columns(columns, rows=n)
+
+    @cached_property
+    def _v_ops(self) -> tuple[Op, ...]:
+        """Operations whose replay on a vector y gives V @ y."""
+        # V = F_1 ... F_k, so V y applies F_k first; F for "column i += c column j"
+        # acts on a vector as "entry j += c entry i"
+        return tuple((j, i, c) for i, j, c in reversed(self.col_ops))
 
     def diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
@@ -196,9 +250,12 @@ class SmithDecomposition:
 
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """Solve A @ x = b over the integers, as D y = U b and x = V y; None if unsolvable."""
-        c = self.u.apply(b)
+        if len(b) != self.d.rows:
+            raise ValueError("right-hand side length does not match row count")
+        c = list(b)
+        _replay_on_vector(self.row_ops, c)
         diag = self.diagonal()
-        y = [0] * self.v.rows
+        y = [0] * self.d.cols
         for i, ci in enumerate(c):
             di = diag[i] if i < len(diag) else 0
             if di:
@@ -207,89 +264,100 @@ class SmithDecomposition:
                 y[i] = ci // di
             elif ci:
                 return None
-        return self.v.apply(y)
+        _replay_on_vector(self._v_ops, y)
+        return tuple(y)
+
+    def kernel(self) -> IntMatrix:
+        """Columns rank, rank + 1, ... of V: a basis of the integer kernel of A."""
+        n, rank = self.d.cols, self.rank()
+        # row i holds entry i of each unit vector e_rank, ..., e_(n-1)
+        rows = [[int(i == j) for j in range(rank, n)] for i in range(n)]
+        _replay_on_rows(self._v_ops, rows)
+        return IntMatrix.from_rows(rows, cols=n - rank)
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
-    """Smith normal form over the integers with transform tracking.
+def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form over the integers, with U and V built only when read.
 
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
     remaining block, ties broken by (row, col), so the output is
     deterministic.  Empty matrices are legal and produce identity
-    transforms.
+    transforms.  Step t works on the block of rows and columns t and
+    beyond: everything outside it is already zero off the diagonal, so
+    the operations on that block are all of the elimination's operations.
     """
     m, n = a.rows, a.cols
-    d = [list(row) for row in a.entries]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    w = [list(row) for row in a.entries]  # the active block at step t
+    row_ops: list[Op] = []
+    col_ops: list[Op] = []
+    diag = []
 
     def swap_rows(i, j):
         if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
+            w[i], w[j] = w[j], w[i]
+            row_ops.append((t + i, t + j, 0))
 
     def swap_cols(i, j):
         if i != j:
-            for row in d:
+            for row in w:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            col_ops.append((t + i, t + j, 0))
 
     def add_row(dst, src, c):
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, c):
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
+        if c:
+            w[dst] = [x + c * y for x, y in zip(w[dst], w[src])]
+            row_ops.append((t + dst, t + src, c))
 
     for t in range(min(m, n)):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+        # the first entry of least absolute value, in (row, col) order
+        least = [min(map(abs, filter(None, row)), default=0) for row in w]
+        size = min(filter(None, least), default=0)
+        if not size:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        i = least.index(size)
+        swap_rows(0, i)
+        swap_cols(0, [abs(x) for x in w[0]].index(size))
         while True:
-            i = next((i for i in range(m) if i != t and d[i][t] != 0), None)
-            if i is not None:
-                q = d[i][t] // d[t][t]
-                add_row(i, t, -q)
-                if d[i][t]:
-                    # remainder is strictly smaller: adopt it as the pivot
-                    swap_rows(i, t)
-                continue
-            j = next((j for j in range(n) if j != t and d[t][j] != 0), None)
+            # clear column 0 row by row: the rows above i are zero there already
+            for i in range(1, m - t):
+                while w[i][0]:
+                    add_row(i, 0, -(w[i][0] // w[0][0]))
+                    if w[i][0]:
+                        # remainder is strictly smaller: adopt it as the pivot
+                        swap_rows(i, 0)
+            j = next((j for j in range(1, n - t) if w[0][j] != 0), None)
             if j is not None:
-                q = d[t][j] // d[t][t]
-                add_col(j, t, -q)
-                if d[t][j]:
-                    swap_cols(j, t)
+                # column 0 is zero below the pivot, so only row 0 changes
+                q = w[0][j] // w[0][0]
+                if q:
+                    w[0][j] -= q * w[0][0]
+                    col_ops.append((t + j, t, -q))
+                if w[0][j]:
+                    swap_cols(j, 0)
                 continue
-            bad = next((i for i in range(t + 1, m)
-                        if any(d[i][j] % d[t][t] for j in range(t + 1, n))), None)
+            bad = next((i for i in range(1, m - t)
+                        if any(x % w[0][0] for x in w[i][1:])), None)
             if bad is None:
                 break
             # pull the offending row up so the pivot shrinks to the gcd
-            add_row(t, bad, 1)
-        if d[t][t] < 0:
-            negate_row(t)
+            add_row(0, bad, 1)
+        if w[0][0] < 0:
+            w[0][0] = -w[0][0]
+            row_ops.append((t, t, -1))
+        diag.append(w[0][0])
+        w = [row[1:] for row in w[1:]]
 
-    return SmithDecomposition(
-        IntMatrix.from_rows(u, cols=m),
-        IntMatrix.from_rows(d, cols=n),
-        IntMatrix.from_rows(v, cols=n),
-    )
+    d = [[0] * n for _ in range(m)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return SmithDecomposition(IntMatrix.from_rows(d, cols=n), tuple(row_ops), tuple(col_ops))
+
+
+def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms: ``smith_decomposition`` with U and V built."""
+    dec = smith_decomposition(a)
+    dec.u, dec.v  # reading the cached transforms builds them now
+    return dec
 
 
 def hermite_form(a: IntMatrix) -> IntMatrix:
@@ -337,17 +405,12 @@ def hermite_form(a: IntMatrix) -> IntMatrix:
 
 def solve_integral(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Solve a @ x = b over the integers; None when no solution exists."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length does not match row count")
-    return smith_normal_form(a).solve(b)
+    return smith_decomposition(a).solve(b)
 
 
 def integer_kernel(a: IntMatrix) -> IntMatrix:
     """Columns spanning the lattice of integer solutions of a @ x = 0."""
-    dec = smith_normal_form(a)
-    rank = dec.rank()
-    basis = [dec.v.column(j) for j in range(rank, a.cols)]
-    return IntMatrix.from_columns(basis, rows=a.cols)
+    return smith_decomposition(a).kernel()
 
 
 def lattice_contains(a: IntMatrix, vector: Sequence[int]) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FgAbGroup, Homomorphism, Subgroup
-from .matrices import IntMatrix, smith_normal_form
+from .matrices import IntMatrix, smith_decomposition
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def verify(square: ExactSquare) -> ExactnessReport:
 
 
 def _express_in_basis(basis: IntMatrix, columns: IntMatrix, what: str) -> IntMatrix:
-    dec = smith_normal_form(basis)
+    dec = smith_decomposition(basis)
     coords = [dec.solve(col) for col in columns.columns()]
     if None in coords:
         raise ValueError(f"containment violation: {what}")

@@ -14,7 +14,7 @@ from rimtori import (
     IntMatrix,
     deck_action,
 )
-from rimtori.matrices import smith_normal_form
+from rimtori.matrices import integer_kernel, smith_decomposition, smith_normal_form, solve_integral
 
 
 @pytest.fixture
@@ -84,3 +84,69 @@ def test_cached_answers_match_fresh_objects(question):
     fresh = _answers(*_objects(n, relations, generators), vector)
     assert first == again == fresh
     assert all(first[k] for k in (1, 4, 6, 7))
+
+
+# -- only callers that read U or V build them ---------------------------------
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Decompositions made by ``smith_decomposition``, ``smith_normal_form``'s included."""
+    made = []
+
+    def recording(a):
+        made.append(smith_decomposition(a))
+        return made[-1]
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rimtori" and getattr(
+                module, "smith_decomposition", None) is smith_decomposition:
+            monkeypatch.setattr(module, "smith_decomposition", recording)
+    return made
+
+
+def _built_transforms(dec):
+    return {"u", "v"} & set(vars(dec))
+
+
+def test_deck_action_eliminates_once(eliminations):
+    torus = DivisorComponent("T", FgAbGroup.free(2), is_torus=True)
+    divisor = DivisorData((torus,), torus.h1.zero_subgroup(), dim_v=2)
+    reps = [(a, b) for a in range(12) for b in range(12)]
+    deck_action(divisor, ContactProfile.of([24, 36]), reps, (5, -7))
+    assert len(eliminations) == 1
+
+
+def test_identity_homomorphism_eliminates_at_most_once(eliminations):
+    Homomorphism.identity(FgAbGroup.from_invariants(0, [2] * 12))
+    assert len(eliminations) <= 1
+
+
+def _mixed_group():
+    return FgAbGroup(3, IntMatrix.from_columns([[4, 6, 0], [2, 0, 6], [0, 8, 10]], rows=3))
+
+
+def test_questions_build_no_transforms(eliminations):
+    group = _mixed_group()
+    group.canonical_form()
+    assert not _built_transforms(group._smith)
+
+    group = _mixed_group()
+    group.contains_vector((2, 6, 8))
+    group.contains_vector((1, 0, 0))
+    assert not _built_transforms(group._smith)
+
+    group = _mixed_group()
+    sub = group.subgroup([(1, 1, 0)])
+    assert sub.contains(group.subgroup([(3, 3, 0), (4, 6, 0)]))
+    assert not sub.contains(group.full_subgroup())
+    assert not _built_transforms(sub._smith)
+
+    a = IntMatrix.from_rows([[2, 4, 6], [1, 3, 5], [0, 2, 4]])
+    assert solve_integral(a, (2, 1, 0)) == (1, 0, 0)
+    assert integer_kernel(a).cols == 1
+    assert eliminations and not any(_built_transforms(dec) for dec in eliminations)
+
+
+def test_smith_normal_form_builds_transforms():
+    dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    assert _built_transforms(dec) == {"u", "v"}

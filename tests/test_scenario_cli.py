@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rimtori.cli import main, run
+from rimtori.cli import COMMANDS, EXIT_INTERNAL, main, run
 from rimtori.scenario import (
     Scenario,
     ScenarioInvariantError,
@@ -220,3 +221,16 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, document, message):
     assert main(["compute", "--scenario", str(path), "--name", "d"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_internal_error_exits_with_one_line(monkeypatch, capsys):
+    def fault(scenario, divisor):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setitem(COMMANDS, "compute", dataclasses.replace(COMMANDS["compute"], fn=fault))
+    argv = ["compute", "--scenario", str(corpus("elliptic_surface.json")),
+            "--name", "elliptic_fiber", "--format", "machine"]
+    assert main(argv) == EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: internal: RuntimeError: simulated fault\n"
