@@ -318,7 +318,8 @@ def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
         swap_rows(0, i)
         swap_cols(0, [abs(x) for x in w[0]].index(size))
         while True:
-            # clear column 0 row by row: the rows above i are zero there already
+            # clear column 0 one row at a time: operations on rows 0 and i leave
+            # the rows between them zero in column 0
             for i in range(1, m - t):
                 while w[i][0]:
                     add_row(i, 0, -(w[i][0] // w[0][0]))
