@@ -14,7 +14,12 @@ from rimtori import (
     IntMatrix,
     deck_action,
 )
-from rimtori.matrices import integer_kernel, smith_decomposition, smith_normal_form, solve_integral
+from rimtori.matrices import (
+    integer_kernel,
+    smith_decomposition,
+    smith_normal_form,
+    solve_integral,
+)
 
 
 @pytest.fixture
