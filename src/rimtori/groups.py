@@ -56,9 +56,12 @@ def format_canonical(form: CanonicalForm) -> str:
 class FgAbGroup:
     """Z^ambient_rank modulo the column lattice of ``relations``.
 
-    A group computes the Hermite and Smith forms of ``relations`` at most
-    once, and a subgroup those of its span matrix; they answer every
-    equality, invariant and membership question about the object.
+    Each lattice is reduced along one chain, at most once per object: the
+    raw matrix (``relations``, or a subgroup's span matrix), its Hermite
+    form, which decides equality and hashing, and one Smith decomposition
+    of that Hermite form, which answers every invariant, membership and
+    coordinate question.  Its multipliers stay small where those of the
+    raw matrix's elimination can grow to hundreds of thousands of bits.
     """
 
     ambient_rank: int
@@ -97,7 +100,7 @@ class FgAbGroup:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        return smith_decomposition(self.relations)
+        return smith_decomposition(self._hermite)
 
     # Two presentations are the same group when their relation lattices agree.
     def __eq__(self, other) -> bool:
@@ -175,7 +178,7 @@ class FgAbGroup:
         """One ambient vector per coset of a finite-index subgroup."""
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        dec = sub._smith
+        dec = smith_decomposition(sub.span_matrix())
         diag = dec.diagonal()
         if len(diag) < self.ambient_rank or any(d == 0 for d in diag):
             raise ValueError("subgroup has infinite index; no finite transversal")
@@ -210,7 +213,7 @@ class Subgroup:
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
-        return smith_decomposition(self.span_matrix())
+        return smith_decomposition(self._hermite)
 
     # Equality is equality of lattices [generators | relations].
     def __eq__(self, other) -> bool:
@@ -248,10 +251,9 @@ class Subgroup:
 
     def as_group(self) -> FgAbGroup:
         """The subgroup as an abstract group (its own presentation)."""
-        basis = self._hermite
-        dec = smith_decomposition(basis)
-        cols = [dec.solve(rel) for rel in self.ambient.relations.columns()]
-        return FgAbGroup(basis.cols, IntMatrix.from_columns(cols, rows=basis.cols))
+        cols = [self._smith.solve(rel) for rel in self.ambient.relations.columns()]
+        rank = self._hermite.cols
+        return FgAbGroup(rank, IntMatrix.from_columns(cols, rows=rank))
 
     def embedding(self) -> tuple[FgAbGroup, Homomorphism]:
         """The abstract group together with its inclusion into the ambient."""

@@ -79,10 +79,6 @@ class IntMatrix:
     def columns(self) -> list[tuple[int, ...]]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.column(j) for j in range(self.cols)))
-
     def hstack(self, other: IntMatrix) -> IntMatrix:
         if self.rows != other.rows:
             raise ValueError("hstack requires equal row counts")

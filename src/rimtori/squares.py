@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import FgAbGroup, Homomorphism, Subgroup
-from .matrices import IntMatrix, smith_decomposition
+from .matrices import IntMatrix
 
 
 @dataclass(frozen=True)
@@ -108,12 +108,12 @@ def verify(square: ExactSquare) -> ExactnessReport:
     return ExactnessReport(rows=rows, cols=cols, cells=tuple(cells))
 
 
-def _express_in_basis(basis: IntMatrix, columns: IntMatrix, what: str) -> IntMatrix:
-    dec = smith_decomposition(basis)
-    coords = [dec.solve(col) for col in columns.columns()]
+def _express_in_basis(sub: Subgroup, columns: IntMatrix, what: str) -> IntMatrix:
+    """Coordinates of ``columns`` in the Hermite basis of ``sub``, the basis of its embedding."""
+    coords = [sub._smith.solve(col) for col in columns.columns()]
     if None in coords:
         raise ValueError(f"containment violation: {what}")
-    return IntMatrix.from_columns(coords, rows=basis.cols)
+    return IntMatrix.from_columns(coords, rows=sub._hermite.cols)
 
 
 def comparison_square(h1_u: FgAbGroup, h1_v: FgAbGroup,
@@ -150,11 +150,11 @@ def comparison_square(h1_u: FgAbGroup, h1_v: FgAbGroup,
 
     # left column: the subgroup bases viewed through inclusion/projection
     top_in_mid = _express_in_basis(
-        embed_mid.matrix,
+        h_x_uv,
         inclusion @ embed_top.matrix,
         "the U-only subgroup does not include into the union subgroup")
     mid_to_bot = _express_in_basis(
-        embed_bot.matrix,
+        h_x_v,
         projection @ embed_mid.matrix,
         "the union subgroup does not project into the V subgroup")
 

@@ -1,5 +1,6 @@
 """Each lattice is reduced once per object, and reusing a reduction changes no answer."""
 
+import random
 import sys
 
 import pytest
@@ -12,14 +13,24 @@ from rimtori import (
     FgAbGroup,
     Homomorphism,
     IntMatrix,
+    comparison_square,
     deck_action,
 )
 from rimtori.matrices import (
+    hermite_form,
     integer_kernel,
     smith_decomposition,
     smith_normal_form,
     solve_integral,
 )
+
+
+def _patch_everywhere(monkeypatch, original, replacement):
+    """Replace ``original`` at every binding of its name in a rimtori module."""
+    name = original.__name__
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "rimtori" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
 
 
 @pytest.fixture
@@ -31,10 +42,7 @@ def snf_calls(monkeypatch):
         calls.append(a)
         return smith_normal_form(a)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rimtori" and getattr(
-                module, "smith_normal_form", None) is smith_normal_form:
-            monkeypatch.setattr(module, "smith_normal_form", counting)
+    _patch_everywhere(monkeypatch, smith_normal_form, counting)
     return calls
 
 
@@ -102,10 +110,7 @@ def eliminations(monkeypatch):
         made.append(smith_decomposition(a))
         return made[-1]
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rimtori" and getattr(
-                module, "smith_decomposition", None) is smith_decomposition:
-            monkeypatch.setattr(module, "smith_decomposition", recording)
+    _patch_everywhere(monkeypatch, smith_decomposition, recording)
     return made
 
 
@@ -155,3 +160,52 @@ def test_questions_build_no_transforms(eliminations):
 def test_smith_normal_form_builds_transforms():
     dec = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert _built_transforms(dec) == {"u", "v"}
+
+
+# -- every invariant and membership answer reads the cached Hermite form ------
+
+@pytest.fixture
+def eliminated(monkeypatch):
+    """Matrices passed to ``smith_decomposition`` through any module binding."""
+    matrices = []
+
+    def recording(a):
+        matrices.append(a)
+        return smith_decomposition(a)
+
+    _patch_everywhere(monkeypatch, smith_decomposition, recording)
+    return matrices
+
+
+def test_lattice_answers_eliminate_only_hermite_forms(eliminated):
+    group = _mixed_group()
+    group.canonical_form()
+    group.contains_vector((2, 6, 8))
+    sub = group.subgroup([(1, 1, 0), (3, 0, 3)])
+    sub.contains_vector((4, 1, 3))
+    sub.contains(group.subgroup([(3, 3, 0), (4, 6, 0)]))
+    sub.embedding()
+    double = Homomorphism(group, group, IntMatrix.identity(3).scale(2))
+    assert not double.equal_as_maps(Homomorphism.identity(group))
+
+    h1_u = FgAbGroup.from_invariants(1, [4])
+    h1_v = FgAbGroup(2, IntMatrix.from_columns([(6, 4)], rows=2))
+    both = h1_u.direct_sum(h1_v)
+    comparison_square(
+        h1_u, h1_v,
+        both.subgroup([(2, 0, 3, 1), (0, 2, 0, 0)]),
+        h1_v.subgroup([(3, 1)]),
+        h1_u.subgroup([(0, 2)]),
+    )
+    assert eliminated
+    assert all(a == hermite_form(a) for a in eliminated)
+
+
+def test_canonical_form_multipliers_stay_small():
+    rng = random.Random(40)
+    for rows, cols in ((40, 40), (40, 39)):
+        entries = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        group = FgAbGroup(rows, IntMatrix.from_rows(entries, cols=cols))
+        group.canonical_form()
+        ops = group._smith.row_ops + group._smith.col_ops
+        assert max(abs(c).bit_length() for _, _, c in ops) <= 1000

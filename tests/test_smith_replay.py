@@ -1,4 +1,5 @@
-"""The Smith decomposition gives exactly the U, D, V of the eager-transform reference."""
+"""The Smith decomposition gives exactly the U, D, V of the eager-transform reference,
+and membership answered through the Hermite form agrees with the raw elimination."""
 
 import random
 
@@ -10,10 +11,11 @@ from oracles import smith_normal_form_tracked, tracked_kernel, tracked_solve
 
 
 @st.composite
-def smith_cases(draw):
-    """A matrix up to 6x6 (zero rows or columns allowed), a solution vector and a free vector."""
-    m = draw(st.integers(0, 6))
-    n = draw(st.integers(0, 6))
+def smith_cases(draw, max_dim=6):
+    """A matrix up to max_dim x max_dim (zero rows or columns allowed), a solution
+    vector and a free vector."""
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
     rows = draw(st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n),
                          min_size=m, max_size=m))
     if n and draw(st.booleans()):
@@ -66,3 +68,24 @@ def test_smith_matches_tracked_reference_seeded_large():
             x0 = [rng.randint(-5, 5) for _ in range(n)]
             b = [rng.randint(-9, 9) for _ in range(n)]
             assert_matches_reference(IntMatrix.from_rows(rows, cols=n), x0, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(smith_cases(max_dim=8), st.integers(0, 8))
+@example((IntMatrix.zeros(3, 0), [], [1, 0, -1]), 0)
+@example((IntMatrix.from_rows([[2, 0, 4, 6], [0, 0, 2, 2]]), [1, 5, -1, 2], [1, 1]), 2)
+def test_membership_matches_tracked_reference(case, k):
+    a, x0, b = case
+    # the first k columns of a generate the subgroup, the rest are the ambient relations
+    columns = a.columns()
+    relations = IntMatrix.from_columns(columns[k:], rows=a.rows)
+    group = FgAbGroup(a.rows, a)
+    sub = FgAbGroup(a.rows, relations).subgroup(
+        IntMatrix.from_columns(columns[:k], rows=a.rows))
+    for rhs in (a.apply(x0), tuple(b)):
+        member = tracked_solve(a, rhs) is not None
+        assert group.contains_vector(rhs) == member
+        assert sub.contains_vector(rhs) == member
+    basis = sub._hermite
+    assert sub.as_group().relations.columns() == [
+        tracked_solve(basis, rel) for rel in relations.columns()]
