@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, wraps
+from typing import Callable, Sequence, TypeVar
 
 from .groups import (
     AmbientMismatchError,
@@ -63,6 +63,13 @@ class DivisorData:
     swept out by ambient 3-cycles; ``intersections``, when given, fixes
     the total intersection number with each component and constrains the
     admissible contact profiles.
+
+    A divisor builds each paper object once and keeps it for its own
+    lifetime: the total H_1, the rim tori module with its projection and,
+    per contact profile, the contact-sum homomorphism, the contact image
+    and the active component span with its finite-index flag.  They are
+    frozen, so every question about the divisor shares them; the
+    functions below still check their inputs on every call.
     """
 
     components: tuple[DivisorComponent, ...]
@@ -86,6 +93,15 @@ class DivisorData:
     def total_h1(self) -> FgAbGroup:
         """Direct sum of the component H_1 groups, in declaration order."""
         return self._total_h1
+
+    @cached_property
+    def _rim_tori(self) -> tuple[FgAbGroup, Homomorphism]:
+        return self.total_h1().quotient(self.h_xv)
+
+    @cached_property
+    def _per_profile(self) -> dict[ContactProfile, dict]:
+        # profile -> {builder: its object}, filled by @_once_per_profile
+        return {}
 
     def component_columns(self, blocks: dict[int, IntMatrix]) -> IntMatrix:
         """Columns of per-component matrices, zero-padded into the total ambient.
@@ -140,6 +156,23 @@ def check_profile(divisor: DivisorData, profile: ContactProfile) -> None:
                     f"contact orders of component {r} sum to {sum(s)}, expected {total}")
 
 
+T = TypeVar("T")
+
+
+def _once_per_profile(build: Callable[[DivisorData, ContactProfile], T]
+                      ) -> Callable[[DivisorData, ContactProfile], T]:
+    """Check the profile on every call, but build once per (divisor, profile)."""
+    @wraps(build)
+    def kept(divisor: DivisorData, profile: ContactProfile) -> T:
+        check_profile(divisor, profile)
+        objects = divisor._per_profile.setdefault(profile, {})
+        if build not in objects:
+            objects[build] = build(divisor, profile)
+        return objects[build]
+    return kept
+
+
+@_once_per_profile
 def contact_sum_hom(divisor: DivisorData, profile: ContactProfile) -> Homomorphism:
     """The weighted-sum homomorphism of a contact profile.
 
@@ -147,7 +180,6 @@ def contact_sum_hom(divisor: DivisorData, profile: ContactProfile) -> Homomorphi
     V_r; a tuple of loops maps to the sum of the loops scaled by their
     contact orders.
     """
-    check_profile(divisor, profile)
     pairs = list(zip(divisor.components, profile.tuples))
     source = FgAbGroup.direct_sum_of(comp.h1 for comp, weights in pairs for _ in weights)
     blocks = {}
@@ -161,7 +193,7 @@ def contact_sum_hom(divisor: DivisorData, profile: ContactProfile) -> Homomorphi
 
 def rim_tori_module(divisor: DivisorData) -> tuple[FgAbGroup, Homomorphism]:
     """The rim tori module H_1(V)/H_X^V with its quotient projection."""
-    return divisor.total_h1().quotient(divisor.h_xv)
+    return divisor._rim_tori
 
 
 def contact_preimage(divisor: DivisorData, profile: ContactProfile) -> Subgroup:
@@ -173,9 +205,10 @@ def contact_preimage(divisor: DivisorData, profile: ContactProfile) -> Subgroup:
     return contact_sum_hom(divisor, profile).preimage(divisor.h_xv)
 
 
+@_once_per_profile
 def contact_image(divisor: DivisorData, profile: ContactProfile) -> Subgroup:
     """Image of the contact-sum homomorphism inside the rim tori module."""
-    rim, projection = rim_tori_module(divisor)
+    _, projection = rim_tori_module(divisor)
     phi = contact_sum_hom(divisor, profile)
     return projection.compose(phi).image()
 
@@ -265,6 +298,7 @@ def self_glue(divisor: DivisorData) -> FgAbGroup:
     return vanishing_cycles(divisor, divisor)
 
 
+@_once_per_profile
 def active_component_span(divisor: DivisorData,
                           profile: ContactProfile) -> tuple[Subgroup, bool]:
     """Span of the components with contacts inside the rim tori module.
@@ -272,7 +306,6 @@ def active_component_span(divisor: DivisorData,
     Returns the subgroup generated by the images of H_1(V_r) over all r
     with at least one contact point, and whether it has finite index.
     """
-    check_profile(divisor, profile)
     rim, _ = rim_tori_module(divisor)
     span = rim.subgroup(divisor.component_columns(
         {r: IntMatrix.identity(comp.h1.ambient_rank)
@@ -365,7 +398,9 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
         flux_ok = flux_span(everyone) == rim.full_subgroup()
     else:
         active = [r for r, s in enumerate(profile.tuples) if s]
-        flux_ok = flux_span(active) == flux_span(everyone)
+        active_span = flux_span(active)
+        # with a contact on every component both spans are the same lattice
+        flux_ok = len(active) == len(everyone) or active_span == flux_span(everyone)
 
     rank_small = rim.free_rank() <= 1
     all_torus = bool(divisor.components) and all(c.is_torus for c in divisor.components)

@@ -194,7 +194,11 @@ class FgAbGroup:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of an FgAbGroup, generated by columns in ambient coordinates."""
+    """Subgroup of an FgAbGroup, generated by columns in ambient coordinates.
+
+    Like a group, it reduces its lattice once; its abstract group
+    (``as_group``) is also built once and kept for the subgroup's lifetime.
+    """
 
     ambient: FgAbGroup
     generators: IntMatrix
@@ -249,11 +253,15 @@ class Subgroup:
         gens = [a.apply(col[: a.cols]) for col in ker.columns()]
         return Subgroup(self.ambient, IntMatrix.from_columns(gens, rows=a.rows))
 
-    def as_group(self) -> FgAbGroup:
-        """The subgroup as an abstract group (its own presentation)."""
+    @cached_property
+    def _group(self) -> FgAbGroup:
         cols = [self._smith.solve(rel) for rel in self.ambient.relations.columns()]
         rank = self._hermite.cols
         return FgAbGroup(rank, IntMatrix.from_columns(cols, rows=rank))
+
+    def as_group(self) -> FgAbGroup:
+        """The subgroup as an abstract group (its own presentation), built once."""
+        return self._group
 
     def embedding(self) -> tuple[FgAbGroup, Homomorphism]:
         """The abstract group together with its inclusion into the ambient."""

@@ -13,8 +13,18 @@ from rimtori import (
     FgAbGroup,
     Homomorphism,
     IntMatrix,
+    active_component_span,
     comparison_square,
+    contact_image,
+    contact_preimage,
+    contact_sum_hom,
+    cover_homology_finitely_generated,
     deck_action,
+    deck_group,
+    invariance_verdict,
+    rim_tori_module,
+    self_glue,
+    vanishing_threshold,
 )
 from rimtori.matrices import (
     hermite_form,
@@ -209,3 +219,163 @@ def test_canonical_form_multipliers_stay_small():
         group.canonical_form()
         ops = group._smith.row_ops + group._smith.col_ops
         assert max(abs(c).bit_length() for _, _, c in ops) <= 1000
+
+
+# -- a subgroup builds its abstract group once --------------------------------
+
+def test_subgroup_canonical_form_reduces_once(monkeypatch):
+    counts = {"hermite": 0, "smith": 0}
+
+    def counted(key, function):
+        def wrapper(a):
+            counts[key] += 1
+            return function(a)
+        return wrapper
+
+    _patch_everywhere(monkeypatch, hermite_form, counted("hermite", hermite_form))
+    _patch_everywhere(monkeypatch, smith_decomposition, counted("smith", smith_decomposition))
+    sub = _mixed_group().subgroup([(1, 1, 0), (3, 0, 3)])
+    forms = {sub.canonical_form() for _ in range(3)}
+    assert len(forms) == 1
+    assert counts == {"hermite": 2, "smith": 2}
+    assert sub.as_group() is sub.as_group()
+
+
+# -- a divisor builds its paper objects once ----------------------------------
+
+def _swept_divisor():
+    """Two components, a torus and Z + Z/4, with one swept class."""
+    torus = DivisorComponent("T", FgAbGroup.free(2), is_torus=True)
+    other = DivisorComponent("W", FgAbGroup.from_invariants(1, [4]),
+                             flux=IntMatrix.from_columns([(2, 0)], rows=2))
+    total = FgAbGroup.direct_sum_of([torus.h1, other.h1])
+    return DivisorData((torus, other), total.subgroup([(2, 0, 1, 1)]), dim_v=2)
+
+
+def test_divisor_objects_are_kept():
+    divisor = _swept_divisor()
+    profile = ContactProfile.of([2, 4], [3])
+    assert rim_tori_module(divisor) is rim_tori_module(divisor)
+    assert contact_sum_hom(divisor, profile) is contact_sum_hom(divisor, profile)
+    assert contact_image(divisor, profile) is contact_image(divisor, profile)
+    # an equal profile is the same key
+    again = ContactProfile.of([2, 4], [3])
+    assert contact_image(divisor, again) is contact_image(divisor, profile)
+    assert active_component_span(divisor, again) is active_component_span(divisor, profile)
+
+
+def test_rim_tori_quotient_built_once(monkeypatch):
+    divisor = _swept_divisor()
+    profile = ContactProfile.of([2, 4], [3])
+    quotients = []
+    original = FgAbGroup.quotient
+
+    def recording(group, sub):
+        quotients.append((group, sub))
+        return original(group, sub)
+
+    monkeypatch.setattr(FgAbGroup, "quotient", recording)
+    deck_group(divisor, profile)
+    invariance_verdict(divisor, profile)
+    vanishing_threshold(divisor, profile)
+    rim_tori_module(divisor)
+    total, h_xv = divisor.total_h1(), divisor.h_xv
+    assert sum(1 for group, sub in quotients if group == total and sub == h_xv) == 1
+
+
+@st.composite
+def divisor_questions(draw):
+    """Data of a small divisor and two contact profiles that are valid for it."""
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            comps.append((2, (), True, None))
+            continue
+        rank = draw(st.integers(0, 2))
+        torsion = tuple(draw(st.lists(st.sampled_from([2, 3, 4, 6]), max_size=2)))
+        column = st.lists(st.integers(-3, 3), min_size=rank + len(torsion),
+                          max_size=rank + len(torsion))
+        comps.append((rank, torsion, False, draw(st.none() | st.lists(column, max_size=2))))
+    n = sum(rank + len(torsion) for rank, torsion, _, _ in comps)
+    swept = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=n))
+    orders = st.lists(st.sampled_from([-2, -1, 1, 2, 3]), max_size=2)
+    first = tuple(tuple(draw(orders)) for _ in comps)
+    fixed = draw(st.booleans())
+    # with fixed intersection numbers the second profile must keep the sums
+    second = (tuple(s[::-1] for s in first) if fixed
+              else tuple(tuple(draw(orders)) for _ in comps))
+    intersections = tuple(sum(s) for s in first) if fixed else None
+    return (comps, swept, draw(st.sampled_from([2, 4])), intersections), first, second
+
+
+def _divisor(comps, swept, dim, intersections):
+    parts = tuple(
+        DivisorComponent(f"V{r}", FgAbGroup.from_invariants(rank, torsion), is_torus=torus,
+                         flux=None if flux is None
+                         else IntMatrix.from_columns(flux, rows=rank + len(torsion)))
+        for r, (rank, torsion, torus, flux) in enumerate(comps))
+    total = FgAbGroup.direct_sum_of(c.h1 for c in parts)
+    return DivisorData(parts, total.subgroup(swept), dim, intersections)
+
+
+def _deck(d, p):
+    report = deck_group(d, p)
+    return report.finite_part, report.free_part, report.total
+
+
+DIVISOR_QUESTIONS = {
+    "rim_tori": lambda d, p: rim_tori_module(d)[0].canonical_form(),
+    "contact_sum": lambda d, p: (contact_sum_hom(d, p).matrix,
+                                 contact_sum_hom(d, p).source.relations),
+    "contact_image": lambda d, p: (contact_image(d, p).generators,
+                                   contact_image(d, p).canonical_form()),
+    "preimage": lambda d, p: contact_preimage(d, p).canonical_form(),
+    "deck_group": _deck,
+    "verdict": invariance_verdict,
+    "threshold": vanishing_threshold,
+    "active_span": lambda d, p: (active_component_span(d, p)[0].canonical_form(),
+                                 active_component_span(d, p)[1]),
+    "finitely_generated": cover_homology_finitely_generated,
+    "self_glue": lambda d, p: self_glue(d).canonical_form(),
+}
+
+# every public function that takes a profile, called with it
+PROFILE_CALLS = [
+    contact_sum_hom, contact_image, contact_preimage, deck_group, invariance_verdict,
+    vanishing_threshold, active_component_span, cover_homology_finitely_generated,
+    lambda d, p: deck_action(d, p, [], (0,) * d.total_h1().ambient_rank),
+]
+
+
+def _ask(divisor, profiles, order):
+    answers = {}
+    for name in order:
+        for k, profile in enumerate(profiles):
+            try:
+                answers[name, k] = DIVISOR_QUESTIONS[name](divisor, profile)
+            except ValueError as exc:
+                answers[name, k] = ("ValueError", str(exc))
+    return answers
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(divisor_questions(), st.permutations(list(DIVISOR_QUESTIONS)))
+def test_kept_objects_match_fresh_divisors(data, order):
+    spec, first, second = data
+    profiles = (ContactProfile(first), ContactProfile(second))
+    divisor = _divisor(*spec)
+    answers = _ask(divisor, profiles, order)
+    again = _ask(divisor, profiles[::-1], order[::-1])
+    assert again == {(name, 1 - k): a for (name, k), a in answers.items()}
+    assert _ask(_divisor(*spec), profiles, sorted(order)) == answers
+
+    # a kept object never stands in for a check
+    wrong = [ContactProfile(first + ((1,),))]
+    if divisor.intersections is not None:
+        wrong.append(ContactProfile(((*first[0], 1), *first[1:])))
+    for profile in wrong:
+        for call in PROFILE_CALLS:
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    call(divisor, profile)
+        assert profile not in divisor._per_profile
