@@ -384,7 +384,6 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
     the standard invariants additionally needs rank at most 1, or every
     component to be a torus (which forces a connected cover here).
     """
-    check_profile(divisor, profile)
     image = contact_image(divisor, profile)
     rim = image.ambient
     coprime = image == rim.full_subgroup()
@@ -427,7 +426,6 @@ def deck_action(divisor: DivisorData, profile: ContactProfile,
     translation witness from the cover's source lattice; the returned
     list pairs each j with (j', witness).
     """
-    check_profile(divisor, profile)
     phi = contact_sum_hom(divisor, profile)
     n = divisor.total_h1().ambient_rank
     reps = [tuple(int(x) for x in v) for v in representatives]
