@@ -100,7 +100,7 @@ class DivisorData:
 
     @cached_property
     def _per_profile(self) -> dict[ContactProfile, dict]:
-        # profile -> {builder: its object}, filled by @_once_per_profile
+        # profile -> {function name: its object}, filled by @_once_per_profile
         return {}
 
     def component_columns(self, blocks: dict[int, IntMatrix]) -> IntMatrix:
@@ -162,13 +162,15 @@ T = TypeVar("T")
 def _once_per_profile(build: Callable[[DivisorData, ContactProfile], T]
                       ) -> Callable[[DivisorData, ContactProfile], T]:
     """Check the profile on every call, but build once per (divisor, profile)."""
+    name = build.__name__
+
     @wraps(build)
     def kept(divisor: DivisorData, profile: ContactProfile) -> T:
         check_profile(divisor, profile)
         objects = divisor._per_profile.setdefault(profile, {})
-        if build not in objects:
-            objects[build] = build(divisor, profile)
-        return objects[build]
+        if name not in objects:
+            objects[name] = build(divisor, profile)
+        return objects[name]
     return kept
 
 
