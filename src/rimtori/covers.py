@@ -56,11 +56,6 @@ class TorusPoint:
     def of(coordinates: Sequence) -> TorusPoint:
         return TorusPoint(tuple(_mod1(_as_complex(z)) for z in coordinates))
 
-    def translate(self, shifts: Sequence[Complex]) -> TorusPoint:
-        if len(shifts) != len(self.coordinates):
-            raise ValueError("shift length does not match point length")
-        return TorusPoint.of([_add(z, s) for z, s in zip(self.coordinates, shifts)])
-
 
 @dataclass(frozen=True)
 class CoverPoint:
@@ -180,6 +175,5 @@ def rank_profile(m: int, swept: Subgroup, weights: Sequence[int]) -> tuple[int, 
         raise ValueError("the swept subgroup must live in the free ambient Z^m")
     if any(s == 0 for s in weights):
         raise ValueError("weights must be nonzero")
-    quotient, _ = swept.ambient.quotient(swept)
-    r0 = quotient.free_rank()
+    r0 = swept.quotient_group().free_rank()
     return r0, m * len(weights) - r0

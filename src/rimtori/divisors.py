@@ -147,8 +147,6 @@ def check_profile(divisor: DivisorData, profile: ContactProfile) -> None:
     if len(profile.tuples) != len(divisor.components):
         raise ValueError(
             f"profile has {len(profile.tuples)} tuples for {len(divisor.components)} components")
-    for s in profile.tuples:
-        gcd_tuple(s)  # rejects zero entries
     if divisor.intersections is not None:
         for r, (s, total) in enumerate(zip(profile.tuples, divisor.intersections)):
             if sum(s) != total:
@@ -210,9 +208,8 @@ def contact_preimage(divisor: DivisorData, profile: ContactProfile) -> Subgroup:
 @_once_per_profile
 def contact_image(divisor: DivisorData, profile: ContactProfile) -> Subgroup:
     """Image of the contact-sum homomorphism inside the rim tori module."""
-    _, projection = rim_tori_module(divisor)
-    phi = contact_sum_hom(divisor, profile)
-    return projection.compose(phi).image()
+    rim, _ = rim_tori_module(divisor)
+    return rim.subgroup(contact_sum_hom(divisor, profile).matrix)
 
 
 @dataclass(frozen=True)
@@ -234,12 +231,11 @@ class DeckGroupReport:
 
 def deck_group(divisor: DivisorData, profile: ContactProfile) -> DeckGroupReport:
     image = contact_image(divisor, profile)
-    rim = image.ambient
-    sheet_group, _ = rim.quotient(image)
+    sheet_group = image.quotient_group()
     image_group = image.as_group()
     total = sheet_group.direct_sum(image_group)
     return DeckGroupReport(
-        rim_tori=rim,
+        rim_tori=image.ambient,
         contact_image=image,
         finite_part=sheet_group.canonical_form(),
         free_part=image_group.canonical_form(),
@@ -270,25 +266,23 @@ def vanishing_cycles(side_x: DivisorData, side_y: DivisorData,
     if abs(determinant(ident)) != 1:
         raise ValueError("identification must be invertible over the integers")
     Homomorphism(h1x, h1y, ident)  # raises if relations are not respected
-
-    stacked = IntMatrix.identity(n).vstack(ident)
-    relations = block_diagonal([side_x.h_xv.span_matrix(), side_y.h_xv.span_matrix()])
-    return FgAbGroup(2 * n, stacked.hstack(relations))
+    rims = (side_x.h_xv.quotient_group(), side_y.h_xv.quotient_group())
+    return vanishing_cycles_from_pairs(*rims, IntMatrix.identity(n).vstack(ident))
 
 
 def vanishing_cycles_from_pairs(rim_x: FgAbGroup, rim_y: FgAbGroup,
                                 pair_generators: IntMatrix) -> FgAbGroup:
     """Vanishing-cycles module from caller-supplied matched-pair generators.
 
-    In the general (non-injective) case the module is the cokernel of the
-    span of the supplied columns inside the direct sum of the two rim
-    tori modules; the columns are the images of the matched sphere-bundle
+    In the general (non-injective) case the module is the quotient of the
+    direct sum of the two rim tori modules by the span of the supplied
+    columns; the columns are the images of the matched sphere-bundle
     classes, which are not determined by H_1 data alone.
     """
     total = rim_x.direct_sum(rim_y)
     if pair_generators.rows != total.ambient_rank:
         raise ValueError("pair generators must live in the direct-sum ambient")
-    return FgAbGroup(total.ambient_rank, pair_generators.hstack(total.relations))
+    return total.subgroup(pair_generators).quotient_group()
 
 
 def self_glue(divisor: DivisorData) -> FgAbGroup:
@@ -388,7 +382,8 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
     """
     image = contact_image(divisor, profile)
     rim = image.ambient
-    coprime = image == rim.full_subgroup()
+    full = rim.full_subgroup()
+    coprime = image == full
 
     def flux_span(indices):
         return rim.subgroup(divisor.component_columns(
@@ -396,7 +391,7 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
 
     everyone = range(len(divisor.components))
     if len(divisor.components) <= 1:
-        flux_ok = flux_span(everyone) == rim.full_subgroup()
+        flux_ok = flux_span(everyone) == full
     else:
         active = [r for r, s in enumerate(profile.tuples) if s]
         active_span = flux_span(active)

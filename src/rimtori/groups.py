@@ -56,12 +56,11 @@ def format_canonical(form: CanonicalForm) -> str:
 class FgAbGroup:
     """Z^ambient_rank modulo the column lattice of ``relations``.
 
-    Each lattice is reduced along one chain, at most once per object: the
-    raw matrix (``relations``, or a subgroup's span matrix), its Hermite
-    form, which decides equality and hashing, and one Smith decomposition
-    of that Hermite form, which answers every invariant, membership and
-    coordinate question.  Its multipliers stay small where those of the
-    raw matrix's elimination can grow to hundreds of thousands of bits.
+    The one owner of the reduction chain, run at most once per object:
+    ``relations``, their Hermite form (equality, hashing), and one Smith
+    decomposition of that form (invariants, membership, coordinates), whose
+    multipliers stay small where the raw matrix's grow past 600,000 bits.
+    A subgroup's lattice is its quotient group, so it is reduced here too.
     """
 
     ambient_rank: int
@@ -161,9 +160,8 @@ class FgAbGroup:
         """Quotient by a subgroup, with the projection homomorphism."""
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        quot = FgAbGroup(self.ambient_rank, self.relations.hstack(sub.generators))
-        proj = Homomorphism(self, quot, IntMatrix.identity(self.ambient_rank))
-        return quot, proj
+        quot = sub.quotient_group()
+        return quot, Homomorphism(self, quot, IntMatrix.identity(self.ambient_rank))
 
     def direct_sum(self, other: FgAbGroup) -> FgAbGroup:
         return FgAbGroup.direct_sum_of([self, other])
@@ -172,7 +170,7 @@ class FgAbGroup:
         """Index [G : S], or None when infinite."""
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        return self.quotient(sub)[0].order()
+        return sub.quotient_group().order()
 
     def coset_representatives(self, sub: Subgroup) -> list[tuple[int, ...]]:
         """One ambient vector per coset of a finite-index subgroup."""
@@ -196,8 +194,8 @@ class FgAbGroup:
 class Subgroup:
     """Subgroup of an FgAbGroup, generated by columns in ambient coordinates.
 
-    Like a group, it reduces its lattice once; its abstract group
-    (``as_group``) is also built once and kept for the subgroup's lifetime.
+    Its lattice is that of its quotient group, the ambient modulo it, which
+    is built and reduced once; its abstract group (``as_group``) is built once.
     """
 
     ambient: FgAbGroup
@@ -212,14 +210,22 @@ class Subgroup:
         return self.generators.hstack(self.ambient.relations)
 
     @cached_property
+    def _quotient(self) -> FgAbGroup:
+        return FgAbGroup(self.ambient.ambient_rank, self.ambient.relations.hstack(self.generators))
+
+    def quotient_group(self) -> FgAbGroup:
+        """The ambient modulo this subgroup, built once; its lattice is this subgroup's."""
+        return self._quotient
+
+    @property
     def _hermite(self) -> IntMatrix:
-        return hermite_form(self.span_matrix())
+        return self._quotient._hermite
 
-    @cached_property
+    @property
     def _smith(self) -> SmithDecomposition:
-        return smith_decomposition(self._hermite)
+        return self._quotient._smith
 
-    # Equality is equality of lattices [generators | relations].
+    # Equality is equality of lattices [relations | generators].
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -309,12 +315,15 @@ class Homomorphism:
     def kernel(self) -> Subgroup:
         return self.preimage(self.target.zero_subgroup())
 
-    def image(self) -> Subgroup:
+    @cached_property
+    def _image(self) -> Subgroup:
         return Subgroup(self.target, self.matrix)
 
+    def image(self) -> Subgroup:
+        return self._image
+
     def cokernel(self) -> FgAbGroup:
-        return FgAbGroup(self.target.ambient_rank,
-                         self.matrix.hstack(self.target.relations))
+        return self.image().quotient_group()
 
     def preimage(self, sub: Subgroup) -> Subgroup:
         if sub.ambient != self.target:

@@ -234,6 +234,8 @@ def parse_scenario(text: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ScenarioParseError("parse error: the document is nested too deeply") from exc
     _require(isinstance(document, dict), "scenario must be a JSON object")
     known = {"divisors", "profiles", "gluings", "squares"}
     unknown = set(document) - known
@@ -255,7 +257,7 @@ def parse_scenario(text: str) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read scenario {path}: {exc}") from exc
     return parse_scenario(text)

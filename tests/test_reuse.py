@@ -241,6 +241,46 @@ def test_subgroup_canonical_form_reduces_once(monkeypatch):
     assert sub.as_group() is sub.as_group()
 
 
+# -- a subgroup's lattice is its quotient group, reduced once ------------------
+
+def test_quotients_read_the_subgroup_reduction(monkeypatch):
+    hermite_calls = []
+
+    def counting(a):
+        hermite_calls.append(a)
+        return hermite_form(a)
+
+    built = []
+    validate = Homomorphism.__post_init__
+
+    def recording(self):
+        built.append(self)
+        validate(self)
+
+    _patch_everywhere(monkeypatch, hermite_form, counting)
+    monkeypatch.setattr(Homomorphism, "__post_init__", recording)
+
+    group = _mixed_group()
+    sub = group.subgroup([(1, 1, 0), (3, 0, 3)])
+    quot, _ = group.quotient(sub)
+    assert quot is sub.quotient_group()
+    assert quot.relations == group.relations.hstack(sub.generators)
+
+    sub = group.subgroup([(1, 1, 0), (3, 0, 3)])
+    assert sub.contains_vector((4, 1, 3))
+    reduced, built[:] = len(hermite_calls), []
+    assert group.index_of(sub) == 2
+    assert not built
+    assert group.quotient(sub)[0].canonical_form() == (0, (2,))
+    assert len(hermite_calls) == reduced
+
+    double = Homomorphism(group, group, IntMatrix.identity(3).scale(2))
+    assert double.image().contains_vector((2, 6, 8))
+    reduced = len(hermite_calls)
+    assert double.cokernel().canonical_form() == (0, (2, 2, 2))
+    assert len(hermite_calls) == reduced
+
+
 # -- a divisor builds its paper objects once ----------------------------------
 
 def _swept_divisor():

@@ -223,6 +223,20 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, document, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"divisors": {"d": "\xff"}}', "cannot read scenario"),
+    (b'{"divisors": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_unparsable_scenario_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "unparsable.json"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioParseError, match=message):
+        load_scenario(path)
+    assert main(["compute", "--scenario", str(path), "--name", "d"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_internal_error_exits_with_one_line(monkeypatch, capsys):
     def fault(scenario, divisor):
         raise RuntimeError("simulated fault")
