@@ -10,7 +10,9 @@ sheet search: it calls the library's ``solve_integral``, because
 checks independently is how sheets are told apart and matched.
 ``smith_normal_form_tracked`` is a frozen copy of the library's Smith
 elimination with eagerly tracked transforms; the library must give
-exactly its U, D and V.
+exactly its U, D and V.  ``hermite_form_echelon`` is a frozen copy of
+the library's original column Hermite echelon loop; the Hermite form is
+canonical, so the library must return exactly its output.
 """
 
 from __future__ import annotations
@@ -357,6 +359,51 @@ def tracked_kernel(a: IntMatrix) -> IntMatrix:
     _, d, v = smith_normal_form_tracked(a)
     rank = sum(1 for x in d.diagonal() if x)
     return IntMatrix.from_columns([v.column(j) for j in range(rank, a.cols)], rows=a.cols)
+
+
+# -- reference Hermite form -----------------------------------------------
+
+def hermite_form_echelon(a: IntMatrix) -> IntMatrix:
+    """Column-style Hermite normal form with zero columns dropped.
+
+    This is the library's original echelon loop, kept verbatim: the column
+    Hermite form of a lattice is unique, so any correct loop returns
+    exactly this matrix.
+    """
+    # echelon loop over the columns as vectors: coordinate c is pivoted by vector r
+    m = a.cols
+    h = [list(col) for col in a.columns()]
+    r = 0
+    for c in range(a.rows):
+        if r == m:
+            break
+        while True:
+            nonzero = [i for i in range(r, m) if h[i][c] != 0]
+            if not nonzero:
+                break
+            i0 = min(nonzero, key=lambda i: (abs(h[i][c]), i))
+            h[r], h[i0] = h[i0], h[r]
+            p = h[r][c]
+            reduced = True
+            for i in range(r + 1, m):
+                if h[i][c]:
+                    q = h[i][c] // p
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    if h[i][c]:
+                        reduced = False
+            if reduced:
+                break
+        if r < m and h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+            p = h[r][c]
+            for i in range(r):
+                q = h[i][c] // p
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+            r += 1
+    # vectors r and beyond have been reduced to zero
+    return IntMatrix.from_columns(h[:r], rows=a.rows)
 
 
 # -- random generators ----------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rimtori.matrices import (
     IntMatrix,
@@ -12,7 +13,12 @@ from rimtori.matrices import (
     solve_integral,
 )
 
-from oracles import lattice_points_in_box, random_matrix, snf_diagonal_first_pivot
+from oracles import (
+    hermite_form_echelon,
+    lattice_points_in_box,
+    random_matrix,
+    snf_diagonal_first_pivot,
+)
 
 
 def check_smith_invariants(a):
@@ -111,6 +117,36 @@ def test_hermite_canonical_under_recombination():
             cols[0] = tuple(x + c * y for x, y in zip(cols[0], cols[1]))
         b = IntMatrix.from_columns(cols, rows=a.rows)
         assert hermite_form(a) == hermite_form(b)
+
+
+@st.composite
+def hermite_inputs(draw):
+    """Up to 10 x 12, entries up to 10^6, some columns combinations of earlier ones."""
+    rows, cols = draw(st.integers(0, 10)), draw(st.integers(0, 12))
+    entry = st.integers(-3, 3) | st.integers(-10**6, 10**6)
+    columns = []
+    for _ in range(cols):
+        if len(columns) >= 2 and draw(st.booleans()):
+            i, j = draw(st.integers(0, len(columns) - 1)), draw(st.integers(0, len(columns) - 1))
+            c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            columns.append([c1 * x + c2 * y for x, y in zip(columns[i], columns[j])])
+        else:
+            columns.append(draw(st.lists(entry, min_size=rows, max_size=rows)))
+    return IntMatrix.from_columns(columns, rows=rows)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(hermite_inputs())
+def test_hermite_matches_reference_echelon(a):
+    assert hermite_form(a) == hermite_form_echelon(a)
+
+
+def test_hermite_matches_reference_echelon_at_40():
+    rng = random.Random(40)
+    for rows, cols in ((40, 40), (40, 39)):
+        entries = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        a = IntMatrix.from_rows(entries, cols=cols)
+        assert hermite_form(a) == hermite_form_echelon(a)
 
 
 def test_solve_single():
