@@ -11,6 +11,7 @@ are legal everywhere.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -34,6 +35,9 @@ class IllDefinedHomomorphismError(ValueError):
 
 
 CanonicalForm = tuple[int, tuple[int, ...]]
+
+# the most cosets ``coset_representatives`` enumerates
+COSET_LIMIT = 2**20
 
 
 def format_canonical(form: CanonicalForm) -> str:
@@ -173,15 +177,24 @@ class FgAbGroup:
         return sub.quotient_group().order()
 
     def coset_representatives(self, sub: Subgroup) -> list[tuple[int, ...]]:
-        """One ambient vector per coset of a finite-index subgroup."""
+        """One ambient vector per coset of a finite-index subgroup.
+
+        At most ``COSET_LIMIT`` (2^20) cosets are enumerated: a larger index
+        raises ValueError before any is built.
+        """
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        dec = smith_decomposition(sub.span_matrix())
+        span = sub.span_matrix()
+        dec = smith_decomposition(span)
         diag = dec.diagonal()
         if len(diag) < self.ambient_rank or any(d == 0 for d in diag):
             raise ValueError("subgroup has infinite index; no finite transversal")
+        index = math.prod(diag)
+        if index > COSET_LIMIT:
+            raise ValueError(f"subgroup has index {index}; at most {COSET_LIMIT} cosets "
+                             "are enumerated")
         # U^-1 D = A V, so column i of U^-1 is column i of A V divided by d_i
-        av = sub.span_matrix() @ dec.v
+        av = span @ dec.v
         columns = [[x // d for x in av.column(i)] for i, d in enumerate(diag)]
         uinv = IntMatrix.from_columns(columns, rows=self.ambient_rank)
         return [uinv.apply(combo) for combo in itertools.product(*(range(d) for d in diag))]

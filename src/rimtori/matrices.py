@@ -3,6 +3,10 @@
 Everything here is computed over plain Python integers, which are
 arbitrary precision; no floating point is used anywhere.  Matrices are
 immutable values, so they can be shared freely and used as dict keys.
+Each matrix object reduces itself at most once: its Hermite form and its
+Smith elimination are computed when first asked for and kept on it, so
+every question about one object shares them.  Equal but distinct
+objects do not share a reduction.
 """
 
 from __future__ import annotations
@@ -20,6 +24,14 @@ class IntMatrix:
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
+    @cached_property
+    def _hermite(self) -> IntMatrix:
+        return _echelon(self)
+
+    @cached_property
+    def _smith(self) -> SmithDecomposition:
+        return _eliminate(self)
+
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -33,10 +45,15 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        """Build from a list of rows; ``cols`` disambiguates the empty case."""
+        """Build from a list of rows; ``cols`` disambiguates the empty case.
+
+        A ``cols`` that disagrees with the rows given raises ValueError.
+        """
         rows = [tuple(int(x) for x in r) for r in rows]
         if rows:
             width = len(rows[0])
+            if cols is not None and cols != width:
+                raise ValueError(f"rows have {width} entries, not cols={cols}")
         elif cols is not None:
             width = cols
         else:
@@ -45,10 +62,15 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        """Build from a list of column vectors; ``rows`` disambiguates the empty case."""
+        """Build from a list of column vectors; ``rows`` disambiguates the empty case.
+
+        A ``rows`` that disagrees with the columns given raises ValueError.
+        """
         columns = [tuple(int(x) for x in c) for c in columns]
         if columns:
             height = len(columns[0])
+            if rows is not None and rows != height:
+                raise ValueError(f"columns have {height} entries, not rows={rows}")
         elif rows is not None:
             height = rows
         else:
@@ -275,6 +297,16 @@ class SmithDecomposition:
 def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form over the integers, with U and V built only when read.
 
+    The elimination runs once per matrix object and is kept on it, so
+    ``smith_normal_form``, ``solve_integral``, ``integer_kernel`` and
+    ``lattice_contains`` on one object share it.
+    """
+    return a._smith
+
+
+def _eliminate(a: IntMatrix) -> SmithDecomposition:
+    """The Smith elimination of ``a``, recorded as operation logs.
+
     Pivots are chosen as the minimal-absolute-value nonzero entry of the
     remaining block, ties broken by (row, col), so the output is
     deterministic.  Empty matrices are legal and produce identity
@@ -362,9 +394,16 @@ def hermite_form(a: IntMatrix) -> IntMatrix:
 
     The result spans the same column lattice as the input and is the
     canonical representative of that lattice: two matrices span the same
-    lattice iff their Hermite forms are equal.
+    lattice iff their Hermite forms are equal.  It is computed once per
+    matrix object and kept on it.
     """
-    # echelon loop over the columns as vectors: coordinate c is pivoted by vector r
+    return a._hermite
+
+
+def _echelon(a: IntMatrix) -> IntMatrix:
+    """The column Hermite form of ``a`` by an echelon loop over its columns."""
+    # coordinate c is pivoted by vector r; vectors r and beyond are zero before
+    # coordinate c, so every update touches coordinates c and beyond only
     m = a.cols
     h = [list(col) for col in a.columns()]
     r = 0
@@ -372,29 +411,38 @@ def hermite_form(a: IntMatrix) -> IntMatrix:
         if r == m:
             break
         while True:
-            nonzero = [i for i in range(r, m) if h[i][c] != 0]
-            if not nonzero:
+            # the first vector of least nonzero absolute value at coordinate c
+            i0, least = r, 0
+            for i in range(r, m):
+                x = h[i][c]
+                if x and (not least or abs(x) < least):
+                    i0, least = i, abs(x)
+            if not least:
                 break
-            i0 = min(nonzero, key=lambda i: (abs(h[i][c]), i))
             h[r], h[i0] = h[i0], h[r]
-            p = h[r][c]
+            p, tail = h[r][c], h[r][c:]
             reduced = True
             for i in range(r + 1, m):
-                if h[i][c]:
-                    q = h[i][c] // p
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    if h[i][c]:
+                x = h[i][c]
+                if x:
+                    # nearest-integer quotient: the remainder is at most |p| / 2
+                    q = (2 * x + p) // (2 * p)
+                    v = h[i]
+                    v[c:] = [x - q * y for x, y in zip(v[c:], tail)]
+                    if v[c]:
                         reduced = False
             if reduced:
                 break
         if r < m and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-            p = h[r][c]
+            v = h[r]
+            if v[c] < 0:
+                v[c:] = [-x for x in v[c:]]
+            p, tail = v[c], v[c:]
             for i in range(r):
+                # floor quotients: the entries above the pivot end in [0, p)
                 q = h[i][c] // p
                 if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    h[i][c:] = [x - q * y for x, y in zip(h[i][c:], tail)]
             r += 1
     # vectors r and beyond have been reduced to zero
     return IntMatrix.from_columns(h[:r], rows=a.rows)

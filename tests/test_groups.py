@@ -219,6 +219,14 @@ def test_coset_representatives():
         Z2.coset_representatives(Z2.zero_subgroup())
 
 
+def test_coset_representatives_refuses_a_huge_index():
+    for gens, index in (([[1, 0], [0, 2**20 + 1]], 2**20 + 1),
+                        ([[1024, 0], [0, 1025]], 1024 * 1025),
+                        ([[10**6, 0], [0, 10**6]], 10**12)):
+        with pytest.raises(ValueError, match=f"index {index};"):
+            Z2.coset_representatives(Z2.subgroup(gens))
+
+
 def test_coset_representatives_are_a_transversal():
     rng = random.Random(13)
     for _ in range(25):

@@ -41,6 +41,18 @@ def check_smith_invariants(a):
     return dec
 
 
+def test_shape_hints_must_match_the_entries():
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2)], rows=3)
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([(1, 2)], cols=5)
+    assert IntMatrix.from_columns([(1, 2)], rows=2) == IntMatrix.from_rows([(1,), (2,)])
+    assert IntMatrix.from_rows([(1, 2)], cols=2) == IntMatrix.from_columns([(1,), (2,)])
+    # the hints still give the shape of an empty matrix
+    assert IntMatrix.from_columns([], rows=3) == IntMatrix.zeros(3, 0)
+    assert IntMatrix.from_rows([], cols=5) == IntMatrix.zeros(0, 5)
+
+
 def test_smith_identity():
     dec = check_smith_invariants(IntMatrix.identity(2))
     assert dec.d == IntMatrix.identity(2)

@@ -26,9 +26,11 @@ from rimtori import (
     self_glue,
     vanishing_threshold,
 )
+from rimtori import matrices
 from rimtori.matrices import (
     hermite_form,
     integer_kernel,
+    lattice_contains,
     smith_decomposition,
     smith_normal_form,
     solve_integral,
@@ -219,6 +221,48 @@ def test_canonical_form_multipliers_stay_small():
         group.canonical_form()
         ops = group._smith.row_ops + group._smith.col_ops
         assert max(abs(c).bit_length() for _, _, c in ops) <= 1000
+
+
+# -- each matrix object reduces itself once ------------------------------------
+
+def test_one_matrix_reduces_itself_once(monkeypatch):
+    runs = {"eliminate": [], "echelon": []}
+
+    def counted(key, worker):
+        def wrapper(a):
+            runs[key].append(a)
+            return worker(a)
+        return wrapper
+
+    monkeypatch.setattr(matrices, "_eliminate", counted("eliminate", matrices._eliminate))
+    monkeypatch.setattr(matrices, "_echelon", counted("echelon", matrices._echelon))
+    rng = random.Random(6)
+    rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)]
+    for row in rows:
+        row[5] = row[0] - row[1]  # rank 5, so the kernel is not zero
+    a = IntMatrix.from_rows(rows, cols=6)
+
+    dec = smith_normal_form(a)
+    assert solve_integral(a, a.apply((1, -2, 0, 3, 1, 0))) is not None
+    assert solve_integral(a, (1, 0, 0, 0, 0, 0)) == dec.solve((1, 0, 0, 0, 0, 0))
+    assert integer_kernel(a).cols == 1
+    assert lattice_contains(a, a.apply((2, 0, 1, 0, 0, 5)))
+    h = hermite_form(a)
+    group = FgAbGroup(6, a)
+    group.canonical_form()
+
+    # one raw elimination, one echelon run and one Smith elimination of the HNF
+    assert runs["echelon"] == [a] and runs["echelon"][0] is a
+    assert len(runs["eliminate"]) == 2
+    assert runs["eliminate"][0] is a and runs["eliminate"][1] is h
+    assert smith_decomposition(a) is smith_decomposition(a) is dec
+    assert h is group._hermite
+
+    # an equal but distinct matrix is the same value with its own reduction
+    b = IntMatrix.from_rows(rows, cols=6)
+    assert b is not a and b == a and hash(b) == hash(a)
+    assert hermite_form(b) == h
+    assert len(runs["echelon"]) == 2
 
 
 # -- a subgroup builds its abstract group once --------------------------------
