@@ -45,10 +45,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
-        """Build from a list of rows; ``cols`` disambiguates the empty case.
-
-        A ``cols`` that disagrees with the rows given raises ValueError.
-        """
+        """Build from a list of rows; ``cols`` gives the empty case's width, else must match."""
         rows = [tuple(int(x) for x in r) for r in rows]
         if rows:
             width = len(rows[0])
@@ -62,10 +59,7 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
-        """Build from a list of column vectors; ``rows`` disambiguates the empty case.
-
-        A ``rows`` that disagrees with the columns given raises ValueError.
-        """
+        """Build from column vectors; ``rows`` gives the empty case's height, else must match."""
         columns = [tuple(int(x) for x in c) for c in columns]
         if columns:
             height = len(columns[0])
@@ -414,19 +408,19 @@ def _echelon(a: IntMatrix) -> IntMatrix:
             # the first vector of least nonzero absolute value at coordinate c
             i0, least = r, 0
             for i in range(r, m):
-                x = h[i][c]
-                if x and (not least or abs(x) < least):
-                    i0, least = i, abs(x)
+                e = h[i][c]
+                if e and (not least or abs(e) < least):
+                    i0, least = i, abs(e)
             if not least:
                 break
             h[r], h[i0] = h[i0], h[r]
             p, tail = h[r][c], h[r][c:]
             reduced = True
             for i in range(r + 1, m):
-                x = h[i][c]
-                if x:
+                e = h[i][c]
+                if e:
                     # nearest-integer quotient: the remainder is at most |p| / 2
-                    q = (2 * x + p) // (2 * p)
+                    q = (2 * e + p) // (2 * p)
                     v = h[i]
                     v[c:] = [x - q * y for x, y in zip(v[c:], tail)]
                     if v[c]:
