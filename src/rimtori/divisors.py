@@ -232,13 +232,14 @@ class DeckGroupReport:
 def deck_group(divisor: DivisorData, profile: ContactProfile) -> DeckGroupReport:
     image = contact_image(divisor, profile)
     sheet_group = image.quotient_group()
-    image_group = image.as_group()
-    total = sheet_group.direct_sum(image_group)
+    (r1, t1), (r2, t2) = sheet_group.canonical_form(), image.as_group().canonical_form()
+    # the product of two groups in canonical form needs no fresh presentation
+    total = FgAbGroup.from_invariants(r1 + r2, t1 + t2)
     return DeckGroupReport(
         rim_tori=image.ambient,
         contact_image=image,
-        finite_part=sheet_group.canonical_form(),
-        free_part=image_group.canonical_form(),
+        finite_part=(r1, t1),
+        free_part=(r2, t2),
         total=total.canonical_form(),
     )
 

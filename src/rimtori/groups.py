@@ -111,7 +111,9 @@ class FgAbGroup:
             return True
         if not isinstance(other, FgAbGroup):
             return NotImplemented
-        return self.ambient_rank == other.ambient_rank and self._hermite == other._hermite
+        # equal relation matrices need no reduction; the hash reads the same form
+        return self.ambient_rank == other.ambient_rank and (
+            self.relations == other.relations or self._hermite == other._hermite)
 
     def __hash__(self) -> int:
         return hash((self.ambient_rank, self._hermite))

@@ -7,12 +7,18 @@ Each matrix object reduces itself at most once: its Hermite form and its
 Smith elimination are computed when first asked for and kept on it, so
 every question about one object shares them.  Equal but distinct
 objects do not share a reduction.
+
+A matrix built by ``hstack`` or ``block_diagonal`` starts its Hermite form
+from the forms its blocks already have (none is reduced just for this):
+HNF([R | G]) = HNF([HNF(R) | G]) and HNF(R + S) = HNF(R) + HNF(S), so a
+direct sum of reduced blocks needs no echelon run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -26,7 +32,14 @@ class IntMatrix:
 
     @cached_property
     def _hermite(self) -> IntMatrix:
-        return _echelon(self)
+        diagonal, blocks = self.__dict__.pop("_blocks", (False, ()))
+        forms = [b.__dict__.get("_hermite") for b in blocks]
+        if diagonal and all(f is not None for f in forms):
+            return block_diagonal(forms)  # HNF(R + S) = HNF(R) + HNF(S)
+        if all(f is None or f == b for b, f in zip(blocks, forms)):
+            return _echelon(self)  # no block changes, so no new matrix is worth building
+        seeds = [b if f is None else f for b, f in zip(blocks, forms)]
+        return _echelon(block_diagonal(seeds) if diagonal else seeds[0].hstack(seeds[1]))
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
@@ -46,7 +59,7 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from a list of rows; ``cols`` gives the empty case's width, else must match."""
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = _int_vectors(rows)
         if rows:
             width = len(rows[0])
             if cols is not None and cols != width:
@@ -60,7 +73,7 @@ class IntMatrix:
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
         """Build from column vectors; ``rows`` gives the empty case's height, else must match."""
-        columns = [tuple(int(x) for x in c) for c in columns]
+        columns = _int_vectors(columns)
         if columns:
             height = len(columns[0])
             if rows is not None and rows != height:
@@ -99,7 +112,9 @@ class IntMatrix:
         if self.rows != other.rows:
             raise ValueError("hstack requires equal row counts")
         data = tuple(a + b for a, b in zip(self.entries, other.entries))
-        return IntMatrix(self.rows, self.cols + other.cols, data)
+        stacked = IntMatrix(self.rows, self.cols + other.cols, data)
+        stacked.__dict__["_blocks"] = (False, (self, other))
+        return stacked
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:
@@ -162,7 +177,18 @@ def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:
                 data[r0 + i][c0 + j] = x
         r0 += b.rows
         c0 += b.cols
-    return IntMatrix.from_rows(data, cols=cols)
+    stacked = IntMatrix(rows, cols, tuple(map(tuple, data)))
+    stacked.__dict__["_blocks"] = (True, tuple(blocks))
+    return stacked
+
+
+def _int_vectors(vectors: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The vectors as tuples; an entry that is not an ``int`` (a bool included) is refused."""
+    vectors = [tuple(v) for v in vectors]
+    if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
+        bad = next(x for x in chain.from_iterable(vectors) if type(x) is not int)
+        raise TypeError(f"matrix entries must be int, not {type(bad).__name__} {bad!r}")
+    return vectors
 
 
 def determinant(a: IntMatrix) -> int:

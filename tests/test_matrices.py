@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rimtori import FgAbGroup
 from rimtori.matrices import (
     IntMatrix,
+    block_diagonal,
     determinant,
     hermite_form,
     integer_kernel,
@@ -131,6 +133,18 @@ def test_hermite_canonical_under_recombination():
         assert hermite_form(a) == hermite_form(b)
 
 
+def test_entries_must_be_ints():
+    # a float was truncated, a bool or a numeric string read as a number
+    for bad in (2.9, 2.0, True, False, "3", None):
+        with pytest.raises(TypeError, match=repr(bad)):
+            IntMatrix.from_rows([[1, 0], [0, bad]])
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            IntMatrix.from_columns([(1, 0), (0, bad)])
+    with pytest.raises(TypeError):
+        FgAbGroup(1, IntMatrix.from_rows([[2.9]]))
+    assert IntMatrix.from_rows(iter([iter([1, -2])])) == IntMatrix.from_rows([(1, -2)])
+
+
 @st.composite
 def hermite_inputs(draw):
     """Up to 10 x 12, entries up to 10^6, some columns combinations of earlier ones."""
@@ -151,6 +165,48 @@ def hermite_inputs(draw):
 @given(hermite_inputs())
 def test_hermite_matches_reference_echelon(a):
     assert hermite_form(a) == hermite_form_echelon(a)
+
+
+@st.composite
+def stacked_inputs(draw):
+    """A direct sum or a side-by-side stack of small blocks, some of them reduced first.
+
+    Returns the stacked matrix and an unstacked copy of it.  Blocks may have
+    no rows or no columns; a side-by-side stack may nest a direct sum.
+    """
+    entry = st.integers(-9, 9)
+
+    def block(rows, cols):
+        columns = draw(st.lists(st.lists(entry, min_size=rows, max_size=rows),
+                                min_size=cols, max_size=cols))
+        b = IntMatrix.from_columns(columns, rows=rows)
+        if draw(st.booleans()):
+            hermite_form(b)  # the block's form is now cached on it
+        return b
+
+    if draw(st.booleans()):
+        shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=4))
+        stacked = block_diagonal(block(m, n) for m, n in shapes)
+    else:
+        rows = draw(st.integers(0, 5))
+        if draw(st.booleans()):
+            left = block(rows, draw(st.integers(0, 5)))
+        else:
+            top = draw(st.integers(0, rows))
+            left = block_diagonal([block(top, draw(st.integers(0, 3))),
+                                   block(rows - top, draw(st.integers(0, 3)))])
+            if draw(st.booleans()):
+                hermite_form(left)
+        stacked = left.hstack(block(rows, draw(st.integers(0, 4))))
+    return stacked, IntMatrix(stacked.rows, stacked.cols, stacked.entries)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(stacked_inputs())
+def test_stacked_hermite_matches_reference_echelon(pair):
+    stacked, copy = pair
+    assert hermite_form(stacked) == hermite_form_echelon(copy)
+    assert hermite_form(copy) == hermite_form(stacked)
 
 
 def test_hermite_matches_reference_echelon_at_40():

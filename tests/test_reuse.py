@@ -28,6 +28,7 @@ from rimtori import (
 )
 from rimtori import matrices
 from rimtori.matrices import (
+    block_diagonal,
     hermite_form,
     integer_kernel,
     lattice_contains,
@@ -35,6 +36,8 @@ from rimtori.matrices import (
     smith_normal_form,
     solve_integral,
 )
+
+from oracles import random_divisor
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -323,6 +326,71 @@ def test_quotients_read_the_subgroup_reduction(monkeypatch):
     reduced = len(hermite_calls)
     assert double.cokernel().canonical_form() == (0, (2, 2, 2))
     assert len(hermite_calls) == reduced
+
+
+# -- a stacked lattice starts from its blocks' Hermite forms -------------------
+
+def test_stacked_lattices_reduce_only_what_is_new(monkeypatch):
+    runs = []
+
+    def recording(a):
+        runs.append(a)
+        return echelon(a)
+
+    echelon = matrices._echelon
+    monkeypatch.setattr(matrices, "_echelon", recording)
+    gens = IntMatrix.from_columns([(1, 1, 0), (3, 0, 3)], rows=3)
+
+    # a quotient of a reduced group reduces HNF(R) and the generators only
+    group = _mixed_group()
+    group.canonical_form()
+    assert group._hermite != group.relations
+    runs.clear()
+    quot = group.subgroup(gens).quotient_group()
+    assert quot.canonical_form() == (0, (2,))
+    assert runs == [group._hermite.hstack(gens)]
+
+    # an unreduced ambient is not reduced to seed its quotient
+    fresh = _mixed_group()
+    runs.clear()
+    assert fresh.subgroup(gens).quotient_group().canonical_form() == (0, (2,))
+    assert runs == [fresh.relations.hstack(gens)]
+    assert "_hermite" not in vars(fresh.relations)
+
+    # a direct sum of reduced groups runs no echelon at all
+    other = FgAbGroup(2, IntMatrix.from_columns([(6, 4)], rows=2))
+    other.canonical_form()
+    runs.clear()
+    both = FgAbGroup.direct_sum_of([quot, other])
+    assert both.canonical_form() == (1, (2, 2))
+    assert not runs
+    rows, cols = both.relations.rows, both.relations.cols
+    assert both._hermite == hermite_form(IntMatrix(rows, cols, both.relations.entries))
+    assert len(runs) == 1
+
+
+def test_equal_presentations_compare_without_reducing(monkeypatch):
+    runs = []
+    monkeypatch.setattr(matrices, "_echelon", lambda a: runs.append(a))
+    assert _mixed_group() == _mixed_group()
+    assert FgAbGroup.from_invariants(1, [4]) == FgAbGroup.from_invariants(1, [4])
+    assert not runs
+
+
+def test_deck_total_matches_a_fresh_direct_sum():
+    rng = random.Random(1010)
+    for _ in range(400):
+        divisor = random_divisor(rng)
+        profile = ContactProfile(tuple(
+            tuple(rng.choice([-2, -1, 1, 2, 3]) for _ in range(rng.randint(0, 2)))
+            for _ in divisor.components))
+        report = deck_group(divisor, profile)
+        sheets = report.contact_image.quotient_group().relations
+        image = report.contact_image.as_group().relations
+        # the direct sum of the two presentations, as one unstacked matrix
+        product = block_diagonal([sheets, image])
+        fresh = FgAbGroup(product.rows, IntMatrix(product.rows, product.cols, product.entries))
+        assert report.total == fresh.canonical_form()
 
 
 # -- a divisor builds its paper objects once ----------------------------------
