@@ -233,7 +233,6 @@ def deck_group(divisor: DivisorData, profile: ContactProfile) -> DeckGroupReport
     image = contact_image(divisor, profile)
     sheet_group = image.quotient_group()
     (r1, t1), (r2, t2) = sheet_group.canonical_form(), image.as_group().canonical_form()
-    # the product of two groups in canonical form needs no fresh presentation
     total = FgAbGroup.from_invariants(r1 + r2, t1 + t2)
     return DeckGroupReport(
         rim_tori=image.ambient,

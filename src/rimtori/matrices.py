@@ -8,10 +8,9 @@ Smith elimination are computed when first asked for and kept on it, so
 every question about one object shares them.  Equal but distinct
 objects do not share a reduction.
 
-A matrix built by ``hstack`` or ``block_diagonal`` starts its Hermite form
-from the forms its blocks already have (none is reduced just for this):
-HNF([R | G]) = HNF([HNF(R) | G]) and HNF(R + S) = HNF(R) + HNF(S), so a
-direct sum of reduced blocks needs no echelon run.
+A matrix built by ``hstack`` or ``block_diagonal`` starts its Hermite form from
+the forms its blocks already have, as HNF([R | G]) = HNF([HNF(R) | G]) and
+HNF(R + S) = HNF(R) + HNF(S); no block is reduced just for this.
 """
 
 from __future__ import annotations
@@ -30,16 +29,24 @@ class IntMatrix:
     cols: int
     entries: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    # Plain attributes, not fields: a stacking constructor sets the blocks and the
+    # first Hermite form sets ``_form``; reading them never builds ``__dict__``.
+    _blocks = (False, [])
+    _form = None
+
+    @property
     def _hermite(self) -> IntMatrix:
-        diagonal, blocks = self.__dict__.pop("_blocks", (False, ()))
-        forms = [b.__dict__.get("_hermite") for b in blocks]
-        if diagonal and all(f is not None for f in forms):
-            return block_diagonal(forms)  # HNF(R + S) = HNF(R) + HNF(S)
-        if all(f is None or f == b for b, f in zip(blocks, forms)):
-            return _echelon(self)  # no block changes, so no new matrix is worth building
-        seeds = [b if f is None else f for b, f in zip(blocks, forms)]
-        return _echelon(block_diagonal(seeds) if diagonal else seeds[0].hstack(seeds[1]))
+        if self._form is None:
+            diagonal, blocks = self._blocks
+            seeds = [b._form or b for b in blocks]
+            if diagonal and all(b._form for b in blocks):
+                form = block_diagonal(seeds)  # HNF(R + S) = HNF(R) + HNF(S)
+            elif seeds == blocks:
+                form = _echelon(self)  # no block has a form other than itself
+            else:
+                form = _echelon(block_diagonal(seeds) if diagonal else seeds[0].hstack(seeds[1]))
+            object.__setattr__(self, "_form", form)
+        return self._form
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
@@ -113,7 +120,7 @@ class IntMatrix:
             raise ValueError("hstack requires equal row counts")
         data = tuple(a + b for a, b in zip(self.entries, other.entries))
         stacked = IntMatrix(self.rows, self.cols + other.cols, data)
-        stacked.__dict__["_blocks"] = (False, (self, other))
+        object.__setattr__(stacked, "_blocks", (False, [self, other]))
         return stacked
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
@@ -167,18 +174,13 @@ class IntMatrix:
 def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:
     """Direct sum of matrices along the diagonal."""
     blocks = list(blocks)
-    rows = sum(b.rows for b in blocks)
     cols = sum(b.cols for b in blocks)
-    data = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    data, c0 = [], 0
     for b in blocks:
-        for i, row in enumerate(b.entries):
-            for j, x in enumerate(row):
-                data[r0 + i][c0 + j] = x
-        r0 += b.rows
+        data += [(0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries]
         c0 += b.cols
-    stacked = IntMatrix(rows, cols, tuple(map(tuple, data)))
-    stacked.__dict__["_blocks"] = (True, tuple(blocks))
+    stacked = IntMatrix(len(data), cols, tuple(data))
+    object.__setattr__(stacked, "_blocks", (True, blocks))
     return stacked
 
 

@@ -355,7 +355,7 @@ def test_stacked_lattices_reduce_only_what_is_new(monkeypatch):
     runs.clear()
     assert fresh.subgroup(gens).quotient_group().canonical_form() == (0, (2,))
     assert runs == [fresh.relations.hstack(gens)]
-    assert "_hermite" not in vars(fresh.relations)
+    assert fresh.relations._form is None
 
     # a direct sum of reduced groups runs no echelon at all
     other = FgAbGroup(2, IntMatrix.from_columns([(6, 4)], rows=2))
