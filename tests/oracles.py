@@ -13,6 +13,9 @@ elimination with eagerly tracked transforms; the library must give
 exactly its U, D and V.  ``hermite_form_echelon`` is a frozen copy of
 the library's original column Hermite echelon loop; the Hermite form is
 canonical, so the library must return exactly its output.
+``eliminate_reference`` is a frozen copy of the library's Smith
+elimination as operation logs; the library must record exactly its
+diagonal and operations.
 """
 
 from __future__ import annotations
@@ -359,6 +362,85 @@ def tracked_kernel(a: IntMatrix) -> IntMatrix:
     _, d, v = smith_normal_form_tracked(a)
     rank = sum(1 for x in d.diagonal() if x)
     return IntMatrix.from_columns([v.column(j) for j in range(rank, a.cols)], rows=a.cols)
+
+
+# -- reference Smith operation log ---------------------------------------
+
+def eliminate_reference(a: IntMatrix) -> tuple[IntMatrix, tuple, tuple]:
+    """(D, row operations, column operations) of the library's Smith elimination.
+
+    This is the library's elimination loop as it was before its pivot and
+    divisibility scans stopped early at a unit, kept verbatim: the
+    library promises the same diagonal and the same operation logs, so
+    the same U and V.  Pivots are chosen as the minimal-absolute-value
+    nonzero entry of the remaining block, ties broken by (row, col).
+    """
+    m, n = a.rows, a.cols
+    w = [list(row) for row in a.entries]  # the active block at step t
+    row_ops = []
+    col_ops = []
+    diag = []
+
+    def swap_rows(i, j):
+        if i != j:
+            w[i], w[j] = w[j], w[i]
+            row_ops.append((t + i, t + j, 0))
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in w:
+                row[i], row[j] = row[j], row[i]
+            col_ops.append((t + i, t + j, 0))
+
+    def add_row(dst, src, c):
+        if c:
+            w[dst] = [x + c * y for x, y in zip(w[dst], w[src])]
+            row_ops.append((t + dst, t + src, c))
+
+    for t in range(min(m, n)):
+        # the first entry of least absolute value, in (row, col) order
+        least = [min(map(abs, filter(None, row)), default=0) for row in w]
+        size = min(filter(None, least), default=0)
+        if not size:
+            break
+        i = least.index(size)
+        swap_rows(0, i)
+        swap_cols(0, [abs(x) for x in w[0]].index(size))
+        while True:
+            # clear column 0 one row at a time: operations on rows 0 and i leave
+            # the rows between them zero in column 0
+            for i in range(1, m - t):
+                while w[i][0]:
+                    add_row(i, 0, -(w[i][0] // w[0][0]))
+                    if w[i][0]:
+                        # remainder is strictly smaller: adopt it as the pivot
+                        swap_rows(i, 0)
+            j = next((j for j in range(1, n - t) if w[0][j] != 0), None)
+            if j is not None:
+                # column 0 is zero below the pivot, so only row 0 changes
+                q = w[0][j] // w[0][0]
+                if q:
+                    w[0][j] -= q * w[0][0]
+                    col_ops.append((t + j, t, -q))
+                if w[0][j]:
+                    swap_cols(j, 0)
+                continue
+            bad = next((i for i in range(1, m - t)
+                        if any(x % w[0][0] for x in w[i][1:])), None)
+            if bad is None:
+                break
+            # pull the offending row up so the pivot shrinks to the gcd
+            add_row(0, bad, 1)
+        if w[0][0] < 0:
+            w[0][0] = -w[0][0]
+            row_ops.append((t, t, -1))
+        diag.append(w[0][0])
+        w = [row[1:] for row in w[1:]]
+
+    d = [[0] * n for _ in range(m)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return IntMatrix.from_rows(d, cols=n), tuple(row_ops), tuple(col_ops)
 
 
 # -- reference Hermite form -----------------------------------------------

@@ -1,13 +1,22 @@
 """The Smith decomposition gives exactly the U, D, V of the eager-transform reference,
-and membership answered through the Hermite form agrees with the raw elimination."""
+records exactly the operation log of the frozen elimination, and membership
+answered through the Hermite form agrees with the raw elimination."""
 
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from rimtori import FgAbGroup, IntMatrix, integer_kernel, smith_normal_form, solve_integral
+from rimtori import (
+    FgAbGroup,
+    IntMatrix,
+    hermite_form,
+    integer_kernel,
+    smith_decomposition,
+    smith_normal_form,
+    solve_integral,
+)
 
-from oracles import smith_normal_form_tracked, tracked_kernel, tracked_solve
+from oracles import eliminate_reference, smith_normal_form_tracked, tracked_kernel, tracked_solve
 
 
 @st.composite
@@ -89,3 +98,49 @@ def test_membership_matches_tracked_reference(case, k):
     basis = sub._hermite
     assert sub.as_group().relations.columns() == [
         tracked_solve(basis, rel) for rel in relations.columns()]
+
+
+@st.composite
+def unit_heavy_matrices(draw, max_dim=8):
+    """Up to max_dim x max_dim, many entries +-1 (some -1 placed on purpose), some
+    rows and columns zero."""
+    m = draw(st.integers(0, max_dim))
+    n = draw(st.integers(0, max_dim))
+    entry = st.sampled_from([-1, 0, 1]) | st.integers(-12, 12) | st.integers(-10**4, 10**4)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if m and n and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = -1
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    return IntMatrix.from_rows(rows, cols=n)
+
+
+def assert_same_log(a):
+    for b in (a, hermite_form(a)):
+        dec = smith_decomposition(b)
+        assert (dec.d, dec.row_ops, dec.col_ops) == eliminate_reference(b)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(unit_heavy_matrices())
+@example(IntMatrix.zeros(0, 4))
+@example(IntMatrix.zeros(4, 0))
+@example(IntMatrix.zeros(3, 3))
+@example(IntMatrix.from_rows([[-1]]))
+@example(IntMatrix.from_rows([[0, 0], [0, -1]]))
+@example(IntMatrix.from_rows([[2, -1, 4], [-1, 3, 0], [5, 0, -1]]))
+@example(IntMatrix.from_rows([[6, 4], [1, -1], [0, 0]]))
+def test_elimination_log_matches_reference(a):
+    assert_same_log(a)
+
+
+def test_elimination_log_matches_reference_seeded_large():
+    rng = random.Random(11)
+    for n in range(10, 15):
+        for bound in (1, 3, 20):
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            assert_same_log(IntMatrix.from_rows(rows, cols=n))
