@@ -60,13 +60,17 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix")
+        # one set/map pass over the entries: a bool, float or str is refused, not coerced
+        if not {int}.issuperset(map(type, chain.from_iterable(self.entries))):
+            bad = next(x for x in chain.from_iterable(self.entries) if type(x) is not int)
+            raise TypeError(f"matrix entries must be int, not {type(bad).__name__} {bad!r}")
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from a list of rows; ``cols`` gives the empty case's width, else must match."""
-        rows = _int_vectors(rows)
+        rows = tuple(map(tuple, rows))
         if rows:
             width = len(rows[0])
             if cols is not None and cols != width:
@@ -75,12 +79,12 @@ class IntMatrix:
             width = cols
         else:
             width = 0
-        return IntMatrix(len(rows), width, tuple(rows))
+        return IntMatrix(len(rows), width, rows)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
         """Build from column vectors; ``rows`` gives the empty case's height, else must match."""
-        columns = _int_vectors(columns)
+        columns = list(map(tuple, columns))
         if columns:
             height = len(columns[0])
             if rows is not None and rows != height:
@@ -92,8 +96,7 @@ class IntMatrix:
         for c in columns:
             if len(c) != height:
                 raise ValueError("ragged columns")
-        data = tuple(tuple(c[i] for c in columns) for i in range(height))
-        return IntMatrix(height, len(columns), data)
+        return IntMatrix(height, len(columns), tuple(zip(*columns)) if columns else ((),) * height)
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
@@ -113,7 +116,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def hstack(self, other: IntMatrix) -> IntMatrix:
         if self.rows != other.rows:
@@ -182,15 +185,6 @@ def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:
     stacked = IntMatrix(len(data), cols, tuple(data))
     object.__setattr__(stacked, "_blocks", (True, blocks))
     return stacked
-
-
-def _int_vectors(vectors: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
-    """The vectors as tuples; an entry that is not an ``int`` (a bool included) is refused."""
-    vectors = [tuple(v) for v in vectors]
-    if not {int}.issuperset(map(type, chain.from_iterable(vectors))):
-        bad = next(x for x in chain.from_iterable(vectors) if type(x) is not int)
-        raise TypeError(f"matrix entries must be int, not {type(bad).__name__} {bad!r}")
-    return vectors
 
 
 def determinant(a: IntMatrix) -> int:
@@ -282,8 +276,12 @@ class SmithDecomposition:
         # acts on a vector as "entry j += c entry i"
         return tuple((j, i, c) for i, j, c in reversed(self.col_ops))
 
-    def diagonal(self) -> tuple[int, ...]:
+    @cached_property
+    def _diagonal(self) -> tuple[int, ...]:
         return self.d.diagonal()
+
+    def diagonal(self) -> tuple[int, ...]:
+        return self._diagonal
 
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
@@ -335,9 +333,11 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
     transforms.  Step t works on the block of rows and columns t and
     beyond: everything outside it is already zero off the diagonal, so
     the operations on that block are all of the elimination's operations.
+    A unit ends the pivot scan, a unit pivot skips the divisibility scan
+    and row 0 is cleared in one pass; no recorded operation changes.
     """
     m, n = a.rows, a.cols
-    w = [list(row) for row in a.entries]  # the active block at step t
+    w = list(map(list, a.entries))  # the active block at step t
     row_ops: list[Op] = []
     col_ops: list[Op] = []
     diag = []
@@ -359,14 +359,19 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
             row_ops.append((t + dst, t + src, c))
 
     for t in range(min(m, n)):
-        # the first entry of least absolute value, in (row, col) order
-        least = [min(map(abs, filter(None, row)), default=0) for row in w]
+        # the first entry of least absolute value, in (row, col) order; no row
+        # after the first one holding a unit can hold a smaller entry
+        least = []
+        for row in w:
+            least.append(x := min(map(abs, filter(None, row)), default=0))
+            if x == 1:
+                break
         size = min(filter(None, least), default=0)
         if not size:
             break
         i = least.index(size)
         swap_rows(0, i)
-        swap_cols(0, [abs(x) for x in w[0]].index(size))
+        swap_cols(0, list(map(abs, w[0])).index(size))
         while True:
             # clear column 0 one row at a time: operations on rows 0 and i leave
             # the rows between them zero in column 0
@@ -376,22 +381,25 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
                     if w[i][0]:
                         # remainder is strictly smaller: adopt it as the pivot
                         swap_rows(i, 0)
-            j = next((j for j in range(1, n - t) if w[0][j] != 0), None)
-            if j is not None:
-                # column 0 is zero below the pivot, so only row 0 changes
-                q = w[0][j] // w[0][0]
-                if q:
-                    w[0][j] -= q * w[0][0]
-                    col_ops.append((t + j, t, -q))
+            # column 0 is zero below the pivot: only row 0 changes until a remainder pivots
+            for j in range(1, n - t):
                 if w[0][j]:
-                    swap_cols(j, 0)
-                continue
-            bad = next((i for i in range(1, m - t)
-                        if any(x % w[0][0] for x in w[i][1:])), None)
-            if bad is None:
-                break
-            # pull the offending row up so the pivot shrinks to the gcd
-            add_row(0, bad, 1)
+                    q = w[0][j] // w[0][0]
+                    if q:
+                        w[0][j] -= q * w[0][0]
+                        col_ops.append((t + j, t, -q))
+                    if w[0][j]:
+                        swap_cols(j, 0)
+                        break
+            else:
+                if w[0][0] in (1, -1):
+                    break  # a unit pivot divides every entry
+                bad = next((i for i in range(1, m - t)
+                            if any(x % w[0][0] for x in w[i][1:])), None)
+                if bad is None:
+                    break
+                # pull the offending row up so the pivot shrinks to the gcd
+                add_row(0, bad, 1)
         if w[0][0] < 0:
             w[0][0] = -w[0][0]
             row_ops.append((t, t, -1))
@@ -423,11 +431,14 @@ def hermite_form(a: IntMatrix) -> IntMatrix:
 
 
 def _echelon(a: IntMatrix) -> IntMatrix:
-    """The column Hermite form of ``a`` by an echelon loop over its columns."""
+    """The column Hermite form of ``a`` by an echelon loop over its columns.
+
+    A unit ends the scan for the least entry; the form is unchanged.
+    """
     # coordinate c is pivoted by vector r; vectors r and beyond are zero before
     # coordinate c, so every update touches coordinates c and beyond only
     m = a.cols
-    h = [list(col) for col in a.columns()]
+    h = list(map(list, a.columns()))
     r = 0
     for c in range(a.rows):
         if r == m:
@@ -439,6 +450,8 @@ def _echelon(a: IntMatrix) -> IntMatrix:
                 e = h[i][c]
                 if e and (not least or abs(e) < least):
                     i0, least = i, abs(e)
+                    if least == 1:
+                        break  # no later vector can beat a unit
             if not least:
                 break
             h[r], h[i0] = h[i0], h[r]
@@ -467,7 +480,7 @@ def _echelon(a: IntMatrix) -> IntMatrix:
                     h[i][c:] = [x - q * y for x, y in zip(h[i][c:], tail)]
             r += 1
     # vectors r and beyond have been reduced to zero
-    return IntMatrix.from_columns(h[:r], rows=a.rows)
+    return IntMatrix(a.rows, r, tuple(zip(*h[:r])) if r else ((),) * a.rows)
 
 
 def solve_integral(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:

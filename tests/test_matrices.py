@@ -145,6 +145,16 @@ def test_entries_must_be_ints():
     assert IntMatrix.from_rows(iter([iter([1, -2])])) == IntMatrix.from_rows([(1, -2)])
 
 
+def test_constructor_refuses_entries_that_are_not_ints():
+    # the plain constructor checks its entries too, not only from_rows and from_columns
+    with pytest.raises(TypeError, match="bool True"):
+        IntMatrix(1, 2, ((True, "x"),))
+    with pytest.raises(TypeError, match="float 2.9"):
+        FgAbGroup(1, IntMatrix(1, 1, ((2.9,),)))
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, ((1, 2), (3,)))
+
+
 @st.composite
 def hermite_inputs(draw):
     """Up to 10 x 12, entries up to 10^6, some columns combinations of earlier ones."""
