@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -189,6 +190,20 @@ def test_subgroup_intersection_random_containments():
         assert s1.contains(meet) and s2.contains(meet)
         assert meet.sum(s1) == s1
         assert meet.sum(s2) == s2
+
+
+def test_subgroup_intersection_is_maximal_in_box():
+    # the meet holds every vector that both subgroups hold, not just some of them
+    rng = random.Random(78)
+    for _ in range(60):
+        g = random_group(rng, 3)
+        n = g.ambient_rank
+        s1, s2 = (g.subgroup(IntMatrix.from_columns(
+            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 3))], rows=n))
+            for _ in range(2))
+        meet = s1.intersection(s2)
+        for v in itertools.product(range(-5, 6), repeat=n):
+            assert meet.contains_vector(v) == (s1.contains_vector(v) and s2.contains_vector(v))
 
 
 def test_index_and_order():
