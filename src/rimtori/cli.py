@@ -16,7 +16,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from . import covers
@@ -81,7 +80,7 @@ def _complex_str(z) -> str:
 
 
 def _complex_payload(z) -> list[str]:
-    return [str(Fraction(z[0])), str(Fraction(z[1]))]
+    return [str(z[0]), str(z[1])]
 
 
 class _NameError(Exception):

@@ -83,12 +83,8 @@ def in_weighted_subtorus(weights: Sequence[int], point: TorusPoint) -> bool:
     return _is_lattice(weighted_sum(weights, point))
 
 
-def is_cover_point(weights: Sequence[int], cp: CoverPoint) -> bool:
-    return in_weighted_subtorus(weights, cp.torus)
-
-
 def _require_member(weights, cp):
-    if not is_cover_point(weights, cp):
+    if not in_weighted_subtorus(weights, cp.torus):
         raise ValueError("point violates the weighted-sum membership constraint")
 
 
@@ -100,19 +96,6 @@ def cover_project(weights: Sequence[int], cp: CoverPoint) -> TorusPoint:
     return TorusPoint.of(shifted)
 
 
-def _deck_shift(weights: Sequence[int], loops: Sequence) -> Complex:
-    ell = len(weights)
-    if len(loops) != ell:
-        raise ValueError("one lattice loop per contact point required")
-    total = (Fraction(0), Fraction(0))
-    for s, gamma in zip(weights, loops):
-        g = _as_complex(gamma)
-        if not _is_lattice(g):
-            raise ValueError("loops must be lattice vectors")
-        total = _add(total, _scale(s, g))
-    return _scale(Fraction(1, ell), total)
-
-
 def deck_act(weights: Sequence[int], loops: Sequence, cp: CoverPoint) -> CoverPoint:
     """Deck transformation induced by a tuple of lattice loops.
 
@@ -122,7 +105,16 @@ def deck_act(weights: Sequence[int], loops: Sequence, cp: CoverPoint) -> CoverPo
     unchanged.
     """
     _require_member(weights, cp)
-    shift = _deck_shift(weights, loops)
+    ell = len(weights)
+    if len(loops) != ell:
+        raise ValueError("one lattice loop per contact point required")
+    total = (Fraction(0), Fraction(0))
+    for s, gamma in zip(weights, loops):
+        g = _as_complex(gamma)
+        if not _is_lattice(g):
+            raise ValueError("loops must be lattice vectors")
+        total = _add(total, _scale(s, g))
+    shift = _scale(Fraction(1, ell), total)
     new_coords = [_add(zi, _scale(Fraction(1, si), shift))
                   for si, zi in zip(weights, cp.torus.coordinates)]
     return CoverPoint(_add(cp.z, shift), TorusPoint.of(new_coords))
@@ -131,19 +123,12 @@ def deck_act(weights: Sequence[int], loops: Sequence, cp: CoverPoint) -> CoverPo
 def lift_linear_loop(weights: Sequence[int], slopes: Sequence) -> CoverPoint:
     """Endpoint displacement of the lift of the linear loops t -> t * slope_i.
 
-    Evaluates the lifted path at t = 1 starting from the origin of the
-    cover; the displacement coincides with the deck action of the same
-    loop tuple.
+    The lifted path starts at the origin of the cover and ends, at t = 1,
+    where the deck action of the same loop tuple sends the origin.
     """
-    ell = len(weights)
-    if ell == 0:
+    if not weights:
         raise ValueError("at least one contact point required")
-    shift = _deck_shift(weights, slopes)
-    coords = []
-    for si, gamma in zip(weights, slopes):
-        g = _as_complex(gamma)
-        coords.append(_add(g, _scale(Fraction(1, si), shift)))
-    return CoverPoint(shift, TorusPoint.of(coords))
+    return deck_act(weights, slopes, CoverPoint.of((0, 0), [(0, 0)] * len(weights)))
 
 
 def base_point(weights: Sequence[int], gamma) -> CoverPoint:

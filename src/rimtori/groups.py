@@ -265,20 +265,26 @@ class Subgroup:
         return Subgroup(self.ambient, self.generators.hstack(other.generators))
 
     def intersection(self, other: Subgroup) -> Subgroup:
-        """Exact lattice intersection via the kernel of the difference map."""
+        """Exact lattice intersection: the span matrix's image of the preimage of ``other``."""
         if other.ambient != self.ambient:
             raise AmbientMismatchError("subgroups live in different ambient groups")
         a = self.span_matrix()
-        b = other.span_matrix()
-        ker = integer_kernel(a.hstack(-b))
-        gens = [a.apply(col[: a.cols]) for col in ker.columns()]
-        return Subgroup(self.ambient, IntMatrix.from_columns(gens, rows=a.rows))
+        pre = Homomorphism(FgAbGroup.free(a.cols), self.ambient, a).preimage(other)
+        return Subgroup(self.ambient, a @ pre.generators)
+
+    def coordinates(self, columns: IntMatrix) -> IntMatrix | None:
+        """Coordinates of ``columns`` in the Hermite basis, the basis of ``embedding()``.
+
+        None when some column lies outside the subgroup.
+        """
+        coords = [self._smith.solve(col) for col in columns.columns()]
+        if None in coords:
+            return None
+        return IntMatrix.from_columns(coords, rows=self._hermite.cols)
 
     @cached_property
     def _group(self) -> FgAbGroup:
-        cols = [self._smith.solve(rel) for rel in self.ambient.relations.columns()]
-        rank = self._hermite.cols
-        return FgAbGroup(rank, IntMatrix.from_columns(cols, rows=rank))
+        return FgAbGroup(self._hermite.cols, self.coordinates(self.ambient.relations))
 
     def as_group(self) -> FgAbGroup:
         """The subgroup as an abstract group (its own presentation), built once."""

@@ -108,14 +108,6 @@ def verify(square: ExactSquare) -> ExactnessReport:
     return ExactnessReport(rows=rows, cols=cols, cells=tuple(cells))
 
 
-def _express_in_basis(sub: Subgroup, columns: IntMatrix, what: str) -> IntMatrix:
-    """Coordinates of ``columns`` in the Hermite basis of ``sub``, the basis of its embedding."""
-    coords = [sub._smith.solve(col) for col in columns.columns()]
-    if None in coords:
-        raise ValueError(f"containment violation: {what}")
-    return IntMatrix.from_columns(coords, rows=sub._hermite.cols)
-
-
 def comparison_square(h1_u: FgAbGroup, h1_v: FgAbGroup,
                       h_x_uv: Subgroup, h_x_v: Subgroup,
                       h_xminusv_u: Subgroup) -> ExactSquare:
@@ -149,14 +141,14 @@ def comparison_square(h1_u: FgAbGroup, h1_v: FgAbGroup,
     rim_v, proj_v = h1_v.quotient(h_x_v)
 
     # left column: the subgroup bases viewed through inclusion/projection
-    top_in_mid = _express_in_basis(
-        h_x_uv,
-        inclusion @ embed_top.matrix,
-        "the U-only subgroup does not include into the union subgroup")
-    mid_to_bot = _express_in_basis(
-        h_x_v,
-        projection @ embed_mid.matrix,
-        "the union subgroup does not project into the V subgroup")
+    top_in_mid = h_x_uv.coordinates(inclusion @ embed_top.matrix)
+    if top_in_mid is None:
+        raise ValueError("containment violation: "
+                         "the U-only subgroup does not include into the union subgroup")
+    mid_to_bot = h_x_v.coordinates(projection @ embed_mid.matrix)
+    if mid_to_bot is None:
+        raise ValueError("containment violation: "
+                         "the union subgroup does not project into the V subgroup")
 
     nodes = (
         (left_top, h1_u, rim_u),
