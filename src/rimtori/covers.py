@@ -83,7 +83,13 @@ def in_weighted_subtorus(weights: Sequence[int], point: TorusPoint) -> bool:
     return _is_lattice(weighted_sum(weights, point))
 
 
+def _require_nonzero(weights):
+    if any(s == 0 for s in weights):
+        raise ValueError("weights must be nonzero")
+
+
 def _require_member(weights, cp):
+    _require_nonzero(weights)
     if not in_weighted_subtorus(weights, cp.torus):
         raise ValueError("point violates the weighted-sum membership constraint")
 
@@ -106,6 +112,8 @@ def deck_act(weights: Sequence[int], loops: Sequence, cp: CoverPoint) -> CoverPo
     """
     _require_member(weights, cp)
     ell = len(weights)
+    if ell == 0:
+        raise ValueError("at least one contact point required")
     if len(loops) != ell:
         raise ValueError("one lattice loop per contact point required")
     total = (Fraction(0), Fraction(0))
@@ -126,8 +134,6 @@ def lift_linear_loop(weights: Sequence[int], slopes: Sequence) -> CoverPoint:
     The lifted path starts at the origin of the cover and ends, at t = 1,
     where the deck action of the same loop tuple sends the origin.
     """
-    if not weights:
-        raise ValueError("at least one contact point required")
     return deck_act(weights, slopes, CoverPoint.of((0, 0), [(0, 0)] * len(weights)))
 
 
@@ -141,6 +147,7 @@ def base_point(weights: Sequence[int], gamma) -> CoverPoint:
     ell = len(weights)
     if ell == 0:
         raise ValueError("at least one contact point required")
+    _require_nonzero(weights)
     g = _as_complex(gamma)
     if not _is_lattice(g):
         raise ValueError("the sheet representative must be a lattice vector")
@@ -158,7 +165,6 @@ def rank_profile(m: int, swept: Subgroup, weights: Sequence[int]) -> tuple[int, 
     """
     if swept.ambient.ambient_rank != m or not swept.ambient.relations.is_zero():
         raise ValueError("the swept subgroup must live in the free ambient Z^m")
-    if any(s == 0 for s in weights):
-        raise ValueError("weights must be nonzero")
+    _require_nonzero(weights)
     r0 = swept.quotient_group().free_rank()
     return r0, m * len(weights) - r0

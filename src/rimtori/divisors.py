@@ -24,7 +24,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
 )
-from .matrices import IntMatrix, block_diagonal, determinant, smith_normal_form
+from .matrices import IntMatrix, block_diagonal, determinant, require_ints, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -120,13 +120,14 @@ class ContactProfile:
     tuples: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        require_ints(self.tuples, "contact orders")
         for s in self.tuples:
             if any(x == 0 for x in s):
                 raise ValueError("contact orders must be nonzero entries")
 
     @staticmethod
     def of(*tuples: Sequence[int]) -> ContactProfile:
-        return ContactProfile(tuple(tuple(int(x) for x in s) for s in tuples))
+        return ContactProfile(tuple(tuple(s) for s in tuples))
 
     def total_contacts(self) -> int:
         return sum(len(s) for s in self.tuples)
@@ -425,10 +426,13 @@ def deck_action(divisor: DivisorData, profile: ContactProfile,
     """
     phi = contact_sum_hom(divisor, profile)
     n = divisor.total_h1().ambient_rank
-    reps = [tuple(int(x) for x in v) for v in representatives]
+    reps = [tuple(v) for v in representatives]
+    eta = tuple(eta)
+    require_ints(reps, "representative entries")
+    require_ints([eta], "eta entries")
     if any(len(v) != n for v in reps):
         raise ValueError("representatives must be ambient H_1 vectors")
-    if len(tuple(eta)) != n:
+    if len(eta) != n:
         raise ValueError("eta must be an ambient H_1 vector")
 
     # the sheets are the cosets of the contact image plus h_xv plus relations;

@@ -21,6 +21,14 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 
+def require_ints(rows: Sequence[Sequence], what: str) -> None:
+    """Raise TypeError naming the first entry of ``rows`` that is not an int."""
+    # one set/map pass over the entries: a bool, float or str is refused, not coerced
+    if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+        bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
+        raise TypeError(f"{what} must be int, not {type(bad).__name__} {bad!r}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable rows x cols matrix of integers, stored row-major."""
@@ -60,10 +68,7 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("ragged rows in matrix")
-        # one set/map pass over the entries: a bool, float or str is refused, not coerced
-        if not {int}.issuperset(map(type, chain.from_iterable(self.entries))):
-            bad = next(x for x in chain.from_iterable(self.entries) if type(x) is not int)
-            raise TypeError(f"matrix entries must be int, not {type(bad).__name__} {bad!r}")
+        require_ints(self.entries, "matrix entries")
 
     # -- constructors ---------------------------------------------------
 

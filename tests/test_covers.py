@@ -140,3 +140,24 @@ def test_base_point_projects_to_origin_randomized():
 def test_weighted_sum_is_exact():
     pt = TorusPoint.of([(Fraction(1, 3), Fraction(1, 6)), (Fraction(1, 2), 0)])
     assert weighted_sum((3, 2), pt) == (Fraction(2), Fraction(1, 2))
+
+
+def test_zero_weights_raise_value_error():
+    # each divided by the zero weight before
+    point = CoverPoint.of((0, 0), [(0, 0)])
+    for call in (lambda: base_point([0], (1, 0)),
+                 lambda: base_point([2, 0], (1, 0)),
+                 lambda: cover_project([0], point),
+                 lambda: deck_act([0], [(1, 0)], point),
+                 lambda: lift_linear_loop([3, 0], [(1, 0), (0, 1)]),
+                 lambda: rank_profile(2, FgAbGroup.free(2).zero_subgroup(), (1, 0))):
+        with pytest.raises(ValueError, match="weights must be nonzero"):
+            call()
+
+
+def test_deck_act_without_contact_points_raises_value_error():
+    # it divided by the empty weight count before; the lift already refused
+    empty = CoverPoint.of((0, 0), [])
+    for call in (lambda: deck_act([], [], empty), lambda: lift_linear_loop([], [])):
+        with pytest.raises(ValueError, match="at least one contact point required"):
+            call()

@@ -76,6 +76,22 @@ def test_profile_rejects_zero_orders():
         ContactProfile.of([1, 0])
 
 
+@pytest.mark.parametrize("orders, name", [
+    ([2.7], "float 2.7"), (["3"], "str '3'"), ([True], "bool True"), ([1, 2.0], "float 2.0")])
+def test_profile_refuses_orders_that_are_not_ints(orders, name):
+    # each was coerced to an int before: 2.7 to 2, "3" to 3 and True to 1
+    with pytest.raises(TypeError, match=f"contact orders must be int, not {name}"):
+        ContactProfile.of(orders)
+    with pytest.raises(TypeError, match=name):
+        ContactProfile((tuple(orders),))
+
+
+def test_profile_constructor_refuses_float_orders():
+    # this one used to construct and fail only inside a matrix
+    with pytest.raises(TypeError, match="float 2.5"):
+        ContactProfile(((2.5,),))
+
+
 def test_profile_order_constraint():
     comp = torus_component("F")
     d = DivisorData((comp,), comp.h1.zero_subgroup(), dim_v=2, intersections=(6,))
@@ -484,6 +500,19 @@ def test_deck_action_hand_example():
     # the sheet of (1, 0) moves to the sheet of (0, 0) with witness (1, 0)
     assert action[1][0] == 0
     assert action[1][1] == (1, 0)
+
+
+def test_deck_action_refuses_entries_that_are_not_ints():
+    d = elliptic_fiber_divisor()
+    profile = ContactProfile.of([2])
+    # eta = (0.5, 0) escaped as a bare KeyError
+    with pytest.raises(TypeError, match=r"eta entries must be int, not float 0\.5"):
+        deck_action(d, profile, UNIT_REPS, (0.5, 0))
+    # a representative (0.5, 0) was truncated to (0, 0), and True was read as 1
+    with pytest.raises(TypeError, match=r"representative entries must be int, not float 0\.5"):
+        deck_action(d, profile, [(0.5, 0), (1, 0), (0, 1), (1, 1)], (0, 0))
+    with pytest.raises(TypeError, match="representative entries must be int, not bool True"):
+        deck_action(d, profile, [(0, 0), (True, 0), (0, 1), (1, 1)], (0, 0))
 
 
 def test_deck_action_rejects_bad_transversal():

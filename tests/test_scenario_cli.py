@@ -223,6 +223,15 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, document, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("order", [2.5, "3", True])
+def test_profile_order_that_is_not_an_int_exits_2(tmp_path, order):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"profiles": {"p": {"tuples": [[2, order]]}}}))
+    with pytest.raises(ScenarioInvariantError, match="entries must be integers"):
+        load_scenario(path)
+    assert main(["compute", "--scenario", str(path), "--name", "p"]) == 2
+
+
 @pytest.mark.parametrize("content, message", [
     (b'{"divisors": {"d": "\xff"}}', "cannot read scenario"),
     (b'{"divisors": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "nested too deeply"),
