@@ -83,13 +83,15 @@ def in_weighted_subtorus(weights: Sequence[int], point: TorusPoint) -> bool:
     return _is_lattice(weighted_sum(weights, point))
 
 
-def _require_nonzero(weights):
+def _require_weights(weights):
+    if not weights:
+        raise ValueError("at least one contact point required")
     if any(s == 0 for s in weights):
         raise ValueError("weights must be nonzero")
 
 
 def _require_member(weights, cp):
-    _require_nonzero(weights)
+    _require_weights(weights)
     if not in_weighted_subtorus(weights, cp.torus):
         raise ValueError("point violates the weighted-sum membership constraint")
 
@@ -112,8 +114,6 @@ def deck_act(weights: Sequence[int], loops: Sequence, cp: CoverPoint) -> CoverPo
     """
     _require_member(weights, cp)
     ell = len(weights)
-    if ell == 0:
-        raise ValueError("at least one contact point required")
     if len(loops) != ell:
         raise ValueError("one lattice loop per contact point required")
     total = (Fraction(0), Fraction(0))
@@ -144,10 +144,8 @@ def base_point(weights: Sequence[int], gamma) -> CoverPoint:
     torus coordinates gamma / (l * s_i); it satisfies the membership
     constraint and projects to the origin of the base.
     """
+    _require_weights(weights)
     ell = len(weights)
-    if ell == 0:
-        raise ValueError("at least one contact point required")
-    _require_nonzero(weights)
     g = _as_complex(gamma)
     if not _is_lattice(g):
         raise ValueError("the sheet representative must be a lattice vector")
@@ -165,6 +163,6 @@ def rank_profile(m: int, swept: Subgroup, weights: Sequence[int]) -> tuple[int, 
     """
     if swept.ambient.ambient_rank != m or not swept.ambient.relations.is_zero():
         raise ValueError("the swept subgroup must live in the free ambient Z^m")
-    _require_nonzero(weights)
+    _require_weights(weights)
     r0 = swept.quotient_group().free_rank()
     return r0, m * len(weights) - r0

@@ -155,9 +155,13 @@ def test_zero_weights_raise_value_error():
             call()
 
 
-def test_deck_act_without_contact_points_raises_value_error():
-    # it divided by the empty weight count before; the lift already refused
+def test_empty_weights_raise_value_error():
+    # deck_act divided by the empty weight count, and rank_profile gave torus dimension -2
     empty = CoverPoint.of((0, 0), [])
-    for call in (lambda: deck_act([], [], empty), lambda: lift_linear_loop([], [])):
+    for call in (lambda: deck_act([], [], empty),
+                 lambda: lift_linear_loop([], []),
+                 lambda: cover_project([], empty),
+                 lambda: base_point([], (1, 0)),
+                 lambda: rank_profile(2, FgAbGroup.free(2).zero_subgroup(), ())):
         with pytest.raises(ValueError, match="at least one contact point required"):
             call()
