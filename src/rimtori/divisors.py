@@ -260,11 +260,10 @@ def vanishing_cycles(side_x: DivisorData, side_y: DivisorData,
         raise AmbientMismatchError("the two sides must share the divisor H_1 ambient")
     n = h1x.ambient_rank
     if ident is None:
-        ident = IntMatrix.identity(n)
-    if ident.rows != n or ident.cols != n:
+        ident = IntMatrix.identity(n)  # invertible over Z by construction
+    elif ident.rows != n or ident.cols != n:
         raise ValueError("identification matrix must be square on the H_1 ambient")
-    # invertibility over Z, and compatibility with the relation lattices
-    if abs(determinant(ident)) != 1:
+    elif abs(determinant(ident)) != 1:
         raise ValueError("identification must be invertible over the integers")
     Homomorphism(h1x, h1y, ident)  # raises if relations are not respected
     rims = (side_x.h_xv.quotient_group(), side_y.h_xv.quotient_group())
@@ -346,7 +345,7 @@ def vanishing_threshold(divisor: DivisorData, profile: ContactProfile) -> int:
     if ell == 0:
         raise ValueError("the threshold requires at least one contact point")
     span, _ = active_component_span(divisor, profile)
-    rank = span.as_group().free_rank()
+    rank = span.free_rank()
     return divisor.dim_v * ell - rank
 
 
@@ -383,8 +382,7 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
     """
     image = contact_image(divisor, profile)
     rim = image.ambient
-    full = rim.full_subgroup()
-    coprime = image == full
+    coprime = image.quotient_group().is_trivial()
 
     def flux_span(indices):
         return rim.subgroup(divisor.component_columns(
@@ -392,7 +390,7 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
 
     everyone = range(len(divisor.components))
     if len(divisor.components) <= 1:
-        flux_ok = flux_span(everyone) == full
+        flux_ok = flux_span(everyone).quotient_group().is_trivial()
     else:
         active = [r for r, s in enumerate(profile.tuples) if s]
         active_span = flux_span(active)

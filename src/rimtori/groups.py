@@ -20,6 +20,7 @@ from .matrices import (
     IntMatrix,
     SmithDecomposition,
     block_diagonal,
+    hermite_contains,
     hermite_form,
     integer_kernel,
     smith_decomposition,
@@ -61,8 +62,8 @@ class FgAbGroup:
     """Z^ambient_rank modulo the column lattice of ``relations``.
 
     The one owner of the reduction chain, run at most once per object:
-    ``relations``, their Hermite form (equality, hashing), and one Smith
-    decomposition of that form (invariants, membership, coordinates), whose
+    ``relations``, their Hermite form (equality, hashing, rank, order, membership),
+    and one Smith decomposition of that form (invariant factors, coordinates), whose
     multipliers stay small where the raw matrix's grow past 600,000 bits.
     A subgroup's lattice is its quotient group, so it is reduced here too.
     """
@@ -129,19 +130,14 @@ class FgAbGroup:
 
     def order(self) -> int | None:
         """Number of elements, or None when the group is infinite."""
-        rank, factors = self.canonical_form()
-        if rank:
-            return None
-        result = 1
-        for d in factors:
-            result *= d
-        return result
+        # a full-rank column Hermite form is square and triangular
+        return None if self.free_rank() else math.prod(self._hermite.diagonal())
 
     def is_trivial(self) -> bool:
-        return self.canonical_form() == (0, ())
+        return self.order() == 1
 
     def free_rank(self) -> int:
-        return self.canonical_form()[0]
+        return self.ambient_rank - self._hermite.cols
 
     # -- subgroups ------------------------------------------------------
 
@@ -158,7 +154,7 @@ class FgAbGroup:
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
         """Whether the class of ``vector`` is zero, i.e. lies in the relations."""
-        return self._smith.solve(vector) is not None
+        return hermite_contains(self._hermite, vector)
 
     # -- constructions ----------------------------------------------------
 
@@ -252,7 +248,11 @@ class Subgroup:
         return hash((self.ambient, self._hermite))
 
     def contains_vector(self, vector: Sequence[int]) -> bool:
-        return self._smith.solve(vector) is not None
+        return hermite_contains(self._hermite, vector)
+
+    def free_rank(self) -> int:
+        # rank is additive along 0 -> S -> G -> G/S -> 0
+        return self.ambient.free_rank() - self._quotient.free_rank()
 
     def contains(self, other: Subgroup) -> bool:
         if other.ambient != self.ambient:
@@ -359,7 +359,7 @@ class Homomorphism:
         return self.kernel() == self.source.zero_subgroup()
 
     def is_surjective(self) -> bool:
-        return self.image() == self.target.full_subgroup()
+        return self.cokernel().is_trivial()
 
     def equal_as_maps(self, other: Homomorphism) -> bool:
         """Whether the two maps agree on every group element."""

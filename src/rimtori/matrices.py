@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from operator import mul
 from typing import Iterable, Sequence
 
 
@@ -409,7 +410,9 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
             w[0][0] = -w[0][0]
             row_ops.append((t, t, -1))
         diag.append(w[0][0])
-        w = [row[1:] for row in w[1:]]
+        del w[0]  # drop row 0 and column 0 in place: the next step's block
+        for row in w:
+            del row[0]
 
     d = [[0] * n for _ in range(m)]
     for i, x in enumerate(diag):
@@ -488,8 +491,26 @@ def _echelon(a: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, r, tuple(zip(*h[:r])) if r else ((),) * a.rows)
 
 
+def hermite_contains(h: IntMatrix, b: Sequence[int]) -> bool:
+    """Whether the lattice of the column Hermite form ``h`` holds ``b``, with no elimination."""
+    if len(b) != h.rows:
+        raise ValueError("right-hand side length does not match row count")
+    require_ints([b], "vector entries")
+    x = []  # coordinates of b on the columns whose pivots are passed
+    for bi, row in zip(b, h.entries):
+        left = bi - sum(map(mul, x, row))
+        # a pivot must divide what is left of its entry; any other row must be left at 0
+        if len(x) < h.cols and row[len(x)]:
+            q, left = divmod(left, row[len(x)])
+            x.append(q)
+        if left:
+            return False
+    return True
+
+
 def solve_integral(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Solve a @ x = b over the integers; None when no solution exists."""
+    require_ints([b], "vector entries")
     return smith_decomposition(a).solve(b)
 
 

@@ -1,7 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rimtori.groups import (
     AmbientMismatchError,
@@ -10,7 +12,7 @@ from rimtori.groups import (
     IllDefinedHomomorphismError,
     format_canonical,
 )
-from rimtori.matrices import IntMatrix
+from rimtori.matrices import IntMatrix, solve_integral
 
 from oracles import (
     lattice_points_in_box,
@@ -313,3 +315,48 @@ def test_rank_zero_everywhere():
     assert proj.kernel() == t.zero_subgroup()
     assert t.order() == 1
     assert t.coset_representatives(t.zero_subgroup()) == [()]
+
+
+# -- answers read off the Hermite form agree with the Smith route --------------
+
+@st.composite
+def groups_with_subgroups(draw):
+    """A group on Z^n, n <= 4, a subgroup of it and a vector of Z^n."""
+    n = draw(st.integers(0, 4))
+    column = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    group = FgAbGroup(n, IntMatrix.from_columns(draw(st.lists(column, max_size=4)), rows=n))
+    sub = group.subgroup(IntMatrix.from_columns(draw(st.lists(column, max_size=4)), rows=n))
+    return group, sub, tuple(draw(column))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(groups_with_subgroups())
+def test_hermite_answers_match_canonical_forms(case):
+    group, sub, vector = case
+    for g in (group, sub.quotient_group()):
+        rank, factors = g.canonical_form()
+        assert g.free_rank() == rank
+        assert g.order() == (None if rank else math.prod(factors))
+        assert g.is_trivial() == (rank == 0 and not factors)
+    assert sub.free_rank() == sub.canonical_form()[0]
+    assert group.index_of(sub) == sub.quotient_group().order()
+    assert group.contains_vector(vector) == (solve_integral(group.relations, vector) is not None)
+    assert sub.contains_vector(vector) == (solve_integral(sub.span_matrix(), vector) is not None)
+
+
+def test_membership_refuses_a_wrong_length():
+    group = FgAbGroup.from_invariants(1, [4])
+    for contains in (group.contains_vector, group.subgroup([(1, 2)]).contains_vector):
+        for vector in ((1,), (1, 0, 0), ()):
+            with pytest.raises(ValueError):
+                contains(vector)
+
+
+def test_membership_refuses_entries_that_are_not_ints():
+    # a float was read as the integer it equals, a bool as 0 or 1
+    group = FgAbGroup(1, IntMatrix.from_rows([[2]]))
+    for contains in (group.contains_vector, group.subgroup([(1,)]).contains_vector):
+        for bad, shown in ((4.0, "float 4.0"), (True, "bool True"), (False, "bool False"),
+                           ("2", "str '2'")):
+            with pytest.raises(TypeError, match=f"must be int, not {shown}"):
+                contains((bad,))

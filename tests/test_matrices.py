@@ -8,6 +8,7 @@ from rimtori.matrices import (
     IntMatrix,
     block_diagonal,
     determinant,
+    hermite_contains,
     hermite_form,
     integer_kernel,
     lattice_contains,
@@ -243,6 +244,36 @@ def test_solve_hand_example():
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
         solve_integral(IntMatrix.from_rows([[2]]), [1, 2])
+
+
+def test_solve_refuses_entries_that_are_not_ints():
+    # a float was solved to a float, a bool read as 0 or 1
+    a = IntMatrix.from_rows([[2]])
+    for bad, shown in ((4.0, "float 4.0"), (True, "bool True"), (False, "bool False"),
+                       ("2", "str '2'")):
+        with pytest.raises(TypeError, match=f"must be int, not {shown}"):
+            solve_integral(a, (bad,))
+        with pytest.raises(TypeError, match=f"must be int, not {shown}"):
+            lattice_contains(a, (bad,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 5).flatmap(lambda m: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m), max_size=5),
+    st.lists(st.integers(-12, 12), min_size=m, max_size=m),
+    st.lists(st.integers(-3, 3), max_size=5))))
+def test_hermite_contains_matches_the_raw_solve(case):
+    columns, vector, coefficients = case
+    a = IntMatrix.from_columns(columns, rows=len(vector))
+    h = hermite_form(a)
+    assert hermite_contains(h, vector) == lattice_contains(a, vector)
+    # a combination of the columns lies in the lattice, and shifting by it keeps the answer
+    inside = a.apply((coefficients + [0] * a.cols)[:a.cols])
+    shifted = tuple(x + y for x, y in zip(vector, inside))
+    assert hermite_contains(h, inside)
+    assert hermite_contains(h, shifted) == hermite_contains(h, vector)
+    with pytest.raises(ValueError):
+        hermite_contains(h, (*vector, 0))
 
 
 def test_solve_random_roundtrip():

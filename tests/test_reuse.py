@@ -2,6 +2,7 @@
 
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,6 +267,37 @@ def test_one_matrix_reduces_itself_once(monkeypatch):
     assert b is not a and b == a and hash(b) == hash(a)
     assert hermite_form(b) == h
     assert len(runs["echelon"]) == 2
+
+
+# -- rank, order, triviality and membership read the Hermite form only --------
+
+def test_rank_order_and_membership_eliminate_nothing(monkeypatch):
+    runs = []
+    monkeypatch.setattr(matrices, "_eliminate", lambda a: runs.append(a))
+    questions = [
+        lambda g, s: g.order(), lambda g, s: g.free_rank(), lambda g, s: g.is_trivial(),
+        lambda g, s: g.index_of(s), lambda g, s: g.contains_vector((2, 6, 8)),
+        lambda g, s: s.contains_vector((4, 1, 3)), lambda g, s: s.free_rank(),
+        lambda g, s: s.quotient_group().order(),
+    ]
+    for question in questions:
+        group = _mixed_group()  # fresh objects: nothing is reduced yet
+        question(group, group.subgroup([(1, 1, 0), (3, 0, 3)]))
+    rng = random.Random(13)
+    for _ in range(40):
+        drawn = random_divisor(rng)
+        # full or index-2^n flux on each component, so both flux verdicts occur
+        parts = tuple(
+            replace(c, flux=IntMatrix.identity(c.h1.ambient_rank).scale(rng.choice([1, 2])))
+            for c in drawn.components)
+        divisor = DivisorData(parts, drawn.h_xv, drawn.dim_v)
+        profile = ContactProfile(tuple(
+            tuple(rng.choice([-2, -1, 1, 2, 3]) for _ in range(rng.randint(1, 2)))
+            for _ in divisor.components))
+        vanishing_threshold(divisor, profile)
+        invariance_verdict(divisor, profile)
+        cover_homology_finitely_generated(divisor, profile)
+    assert not runs
 
 
 # -- a subgroup builds its abstract group once --------------------------------
