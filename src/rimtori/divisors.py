@@ -109,8 +109,9 @@ class DivisorData:
         ``blocks`` maps a component index to a matrix over that component's
         H_1 ambient; the columns come out in component order.
         """
-        return block_diagonal(blocks.get(r, IntMatrix.zeros(comp.h1.ambient_rank, 0))
-                              for r, comp in enumerate(self.components))
+        return block_diagonal(
+            blocks[r] if r in blocks else IntMatrix.zeros(comp.h1.ambient_rank, 0)
+            for r, comp in enumerate(self.components))
 
 
 @dataclass(frozen=True)
@@ -319,14 +320,13 @@ def cover_homology_finitely_generated(
     abelian cover of that component has finitely generated homology; only
     components with contacts enter the conclusion.
     """
-    check_profile(divisor, profile)
+    _, finite_index = active_component_span(divisor, profile)
     if isinstance(component_fg, bool):
         flags = (component_fg,) * len(divisor.components)
     else:
         flags = tuple(component_fg)
         if len(flags) != len(divisor.components):
             raise ValueError("one finite-generation flag per component required")
-    _, finite_index = active_component_span(divisor, profile)
     active_ok = all(flag for flag, s in zip(flags, profile.tuples) if s)
     return finite_index and active_ok
 
@@ -340,11 +340,10 @@ def vanishing_threshold(divisor: DivisorData, profile: ContactProfile) -> int:
     rim tori module; for a connected divisor that rank is the free rank
     of the rim tori module itself.
     """
-    check_profile(divisor, profile)
+    span, _ = active_component_span(divisor, profile)
     ell = profile.total_contacts()
     if ell == 0:
         raise ValueError("the threshold requires at least one contact point")
-    span, _ = active_component_span(divisor, profile)
     rank = span.free_rank()
     return divisor.dim_v * ell - rank
 
@@ -393,9 +392,9 @@ def invariance_verdict(divisor: DivisorData, profile: ContactProfile) -> Invaria
         flux_ok = flux_span(everyone).quotient_group().is_trivial()
     else:
         active = [r for r, s in enumerate(profile.tuples) if s]
-        active_span = flux_span(active)
-        # with a contact on every component both spans are the same lattice
-        flux_ok = len(active) == len(everyone) or active_span == flux_span(everyone)
+        # the active span lies in the full one, so containment is equality; with a
+        # contact on every component both are the same lattice
+        flux_ok = len(active) == len(everyone) or flux_span(active).contains(flux_span(everyone))
 
     rank_small = rim.free_rank() <= 1
     all_torus = bool(divisor.components) and all(c.is_torus for c in divisor.components)

@@ -121,9 +121,7 @@ class FgAbGroup:
 
     def canonical_form(self) -> CanonicalForm:
         """Free rank and invariant factors > 1, in divisibility order."""
-        diag = self._smith.diagonal()
-        rank = sum(1 for d in diag if d != 0)
-        return (self.ambient_rank - rank, tuple(d for d in diag if d > 1))
+        return (self.free_rank(), tuple(d for d in self._smith.diagonal() if d > 1))
 
     def canonical_string(self) -> str:
         return format_canonical(self.canonical_form())
@@ -356,7 +354,7 @@ class Homomorphism:
         return Subgroup(self.source, IntMatrix.from_columns(gens, rows=n))
 
     def is_injective(self) -> bool:
-        return self.kernel() == self.source.zero_subgroup()
+        return all(self.source.contains_vector(c) for c in self.kernel().generators.columns())
 
     def is_surjective(self) -> bool:
         return self.cokernel().is_trivial()

@@ -3,9 +3,11 @@
 A square holds nine groups and twelve interior arrows (two per row and
 per column); the zero groups bordering every row and column are
 implicit, so exactness at the ends is expressed as injectivity of the
-first arrow and surjectivity of the second.  All checks are subgroup
-equalities computed through Hermite forms, which works uniformly for
-infinite groups.
+first arrow and surjectivity of the second.  All checks are memberships
+in Hermite forms, which works uniformly for infinite groups: the first
+arrow is injective when its kernel lies in the source relations, and the
+middle is exact when the composite sends every generator into the last
+group's relations and the second kernel lies in the first image.
 """
 
 from __future__ import annotations
@@ -86,11 +88,10 @@ def short_exact_report(first: Homomorphism, second: Homomorphism) -> SequenceRep
     """Check 0 -> A -> B -> C -> 0 for exactness at all three spots."""
     if second.source != first.target:
         raise ValueError("maps are not composable")
-    return SequenceReport(
-        injective=first.is_injective(),
-        exact_middle=first.image() == second.kernel(),
-        surjective=second.is_surjective(),
-    )
+    composite = second.matrix @ first.matrix
+    exact_middle = (all(second.target.contains_vector(c) for c in composite.columns())
+                    and first.image().contains(second.kernel()))
+    return SequenceReport(first.is_injective(), exact_middle, second.is_surjective())
 
 
 def verify(square: ExactSquare) -> ExactnessReport:

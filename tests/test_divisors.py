@@ -617,3 +617,32 @@ def test_deck_action_additive_exhaustive_s24():
     d = elliptic_fiber_divisor()
     etas = [(a, b) for a in (0, 1, 2) for b in (0, 1, 3)]
     check_action_additivity(d, ContactProfile.of([2, 4]), UNIT_REPS, etas)
+
+
+def _refused_calls():
+    """Each call hands a divisor function data of the wrong shape, with the refusal it gets."""
+    one, two = elliptic_fiber_divisor(), two_fiber_divisor()
+    square = ContactProfile.of([2])
+    return {
+        "h_xv in the wrong ambient": (lambda: DivisorData(
+            two.components, FgAbGroup.free(2).zero_subgroup()), "h_xv must be a subgroup"),
+        "sides of different ranks": (lambda: vanishing_cycles(one, two),
+                                     "must share the divisor H_1 ambient"),
+        "non-square identification": (
+            lambda: vanishing_cycles(one, one, IntMatrix.zeros(2, 3)), "must be square"),
+        "pairs of the wrong row count": (lambda: vanishing_cycles_from_pairs(
+            Z2, Z2, IntMatrix.zeros(3, 1)), "must live in the direct-sum ambient"),
+        "one flag for two components": (lambda: cover_homology_finitely_generated(
+            two, ContactProfile.of([1], [1]), [True]), "one finite-generation flag per component"),
+        "short representatives": (lambda: deck_action(
+            one, square, [(0,), (1,), (0,), (1,)], (0, 0)), "representatives must be ambient"),
+        "long eta": (lambda: deck_action(one, square, UNIT_REPS, (0, 0, 0)),
+                     "eta must be an ambient"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_refused_calls()))
+def test_divisor_functions_refuse_malformed_data(name):
+    call, message = _refused_calls()[name]
+    with pytest.raises(ValueError, match=message):
+        call()

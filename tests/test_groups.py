@@ -360,3 +360,34 @@ def test_membership_refuses_entries_that_are_not_ints():
                            ("2", "str '2'")):
             with pytest.raises(TypeError, match=f"must be int, not {shown}"):
                 contains((bad,))
+
+
+def _mismatched_calls():
+    """Each call mixes objects over two different ambient groups."""
+    g, h = FgAbGroup.from_invariants(1, [4]), FgAbGroup.free(2)
+    sg, sh = g.subgroup([(1, 0)]), h.subgroup([(1, 0)])
+    f = Homomorphism.identity(h)
+    return {
+        "contains": lambda: sg.contains(sh),
+        "sum": lambda: sg.sum(sh),
+        "intersection": lambda: sg.intersection(sh),
+        "index_of": lambda: g.index_of(sh),
+        "coset_representatives": lambda: g.coset_representatives(sh),
+        "compose": lambda: f.compose(Homomorphism.identity(g)),
+        "preimage": lambda: f.preimage(sg),
+    }
+
+
+@pytest.mark.parametrize("name", list(_mismatched_calls()))
+def test_operations_refuse_mismatched_ambients(name):
+    with pytest.raises(AmbientMismatchError):
+        _mismatched_calls()[name]()
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((3, 2), "row count must equal target ambient rank"),
+    ((2, 3), "column count must equal source ambient rank"),
+])
+def test_homomorphism_refuses_a_wrong_shape(shape, message):
+    with pytest.raises(ValueError, match=message):
+        Homomorphism(Z2, Z2, IntMatrix.zeros(*shape))

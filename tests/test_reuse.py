@@ -22,10 +22,13 @@ from rimtori import (
     cover_homology_finitely_generated,
     deck_action,
     deck_group,
+    elliptic_p1xt2_square,
     invariance_verdict,
     rim_tori_module,
     self_glue,
+    short_exact_report,
     vanishing_threshold,
+    verify,
 )
 from rimtori import matrices
 from rimtori.matrices import (
@@ -563,3 +566,68 @@ def test_kept_objects_match_fresh_divisors(data, order):
                 with pytest.raises(ValueError):
                     call(divisor, profile)
         assert profile not in divisor._per_profile
+
+
+# -- containment is answered by membership, with no subgroup built to compare --
+
+def test_verify_answers_containment_by_membership(monkeypatch):
+    runs = {"eliminate": [], "echelon": []}
+
+    def counted(key, worker):
+        def wrapper(a):
+            runs[key].append(a)
+            return worker(a)
+        return wrapper
+
+    monkeypatch.setattr(matrices, "_eliminate", counted("eliminate", matrices._eliminate))
+    monkeypatch.setattr(matrices, "_echelon", counted("echelon", matrices._echelon))
+    # building and verifying the square made 45 normal-form runs when each
+    # containment compared two freshly reduced subgroups
+    assert verify(elliptic_p1xt2_square()).overall
+    assert len(runs["eliminate"]) + len(runs["echelon"]) <= 30
+
+    z4 = FgAbGroup.from_invariants(0, [4])
+    maps = [Homomorphism(z4, FgAbGroup.from_invariants(0, [8]), IntMatrix.from_rows([[2]])),
+            Homomorphism(z4, FgAbGroup.from_invariants(0, [2]), IntMatrix.from_rows([[1]]))]
+    z4.order()  # the source is reduced; its kernel need not be
+    runs["echelon"].clear()
+    assert [f.is_injective() for f in maps] == [True, False]
+    assert not runs["echelon"]
+
+
+@st.composite
+def composable_pairs(draw):
+    """Well-defined maps A -> B -> C of ranks at most 3, exact or not at B."""
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        row = st.lists(st.integers(-3, 3), min_size=cols, max_size=cols)
+        return IntMatrix.from_rows(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+    middle = FgAbGroup(b, matrix(b, draw(st.integers(0, b + 1))))
+    first_matrix = matrix(b, a)
+    # A's relations are the kernel of Z^a -> B, or a part of it, so A -> B is well defined
+    relations = Homomorphism(FgAbGroup.free(a), middle, first_matrix).kernel().generators
+    if draw(st.booleans()):
+        relations = relations @ matrix(relations.cols, draw(st.integers(0, relations.cols + 1)))
+    first = Homomorphism(FgAbGroup(a, relations), middle, first_matrix)
+    second_matrix = matrix(c, b)
+    # C's relations hold the image of B's, so B -> C is well defined
+    columns = ((second_matrix @ middle.relations).columns()
+               + matrix(c, draw(st.integers(0, 2))).columns())
+    if draw(st.booleans()):
+        columns += (second_matrix @ first_matrix).columns()  # the composite is zero
+    target = FgAbGroup(c, IntMatrix.from_columns(columns, rows=c))
+    second = Homomorphism(middle, target, second_matrix)
+    return first, second
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(composable_pairs())
+def test_containment_verdicts_match_subgroup_equality(pair):
+    first, second = pair
+    # the definitions that compared two freshly built subgroups are the oracle
+    assert first.is_injective() == (first.kernel() == first.source.zero_subgroup())
+    assert second.is_injective() == (second.kernel() == second.source.zero_subgroup())
+    report = short_exact_report(first, second)
+    assert report.exact_middle == (first.image() == second.kernel())

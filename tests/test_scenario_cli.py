@@ -257,3 +257,52 @@ def test_internal_error_exits_with_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: internal: RuntimeError: simulated fault\n"
+
+
+def readme_scenario() -> dict:
+    """The example document under "Scenario files" in README.md."""
+    text = (SCENARIOS.parent / "README.md").read_text()
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_scenario_answers():
+    scenario = parse_scenario(json.dumps(readme_scenario()))
+    deck = run("deck", scenario, ["two_fibers", "both"])
+    assert deck.text_lines[0].startswith("finite: 0; free: Z^2")
+    invariance = run("invariance", scenario, ["two_fibers", "both"])
+    assert "lift_independent: yes" in invariance.text_lines
+    # explicit flux columns replace a torus's full flux
+    document = readme_scenario()
+    document["divisors"]["two_fibers"]["components"][0].update(torus=False, flux=[[1, 0], [0, 2]])
+    scenario = parse_scenario(json.dumps(document))
+    flux = scenario.divisors["two_fibers"].components[0].flux_generators()
+    assert flux.entries == ((1, 0), (0, 2))
+    assert run("invariance", scenario, ["two_fibers", "both"]).result["lift_independent"] is True
+
+
+def _set_tuples(document):
+    document["profiles"]["both"]["tuples"] = [[1, 1], [3]]
+
+
+def _set_flux(document):
+    document["divisors"]["two_fibers"]["components"][0]["flux"] = [[1, 0, 0]]
+
+
+def _set_dim(document):
+    document["divisors"]["two_fibers"]["dim"] = 3
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (_set_tuples, 3, "contact orders of component 0 sum to 2, expected 3"),
+    (_set_flux, 2, "flux[0]: expected length 2, got 3"),
+    (_set_dim, 2, "divisor dimension must be a positive even integer"),
+])
+def test_readme_scenario_refusals(tmp_path, capsys, edit, code, message):
+    document = readme_scenario()
+    edit(document)
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(document))
+    argv = ["deck", "--scenario", str(path), "--name", "two_fibers", "--name", "both"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

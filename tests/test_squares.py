@@ -178,3 +178,25 @@ def test_comparison_square_containment_violation():
             t2.zero_subgroup(),
             t2.full_subgroup(),            # but everything claimed on the U side
         )
+
+
+def _comparison_data():
+    """Consistent arguments of ``comparison_square`` over H_1(U) = H_1(V) = Z."""
+    z = FgAbGroup.free(1)
+    both = z.direct_sum(z)
+    return {"h1_u": z, "h1_v": z, "h_x_uv": both.subgroup([(0, 1)]),
+            "h_x_v": z.full_subgroup(), "h_xminusv_u": z.zero_subgroup()}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"h_xminusv_u": FgAbGroup.free(2).zero_subgroup()}, "subgroup of H_1\\(U\\)$"),
+    ({"h_x_v": FgAbGroup.free(2).zero_subgroup()}, "subgroup of H_1\\(V\\)$"),
+    ({"h_x_uv": FgAbGroup.free(1).zero_subgroup()}, "subgroup of H_1\\(U\\) \\(\\+\\) H_1\\(V\\)"),
+    # (0, 1) projects to 1, outside 2Z
+    ({"h_x_v": FgAbGroup.free(1).subgroup([(2,)])},
+     "the union subgroup does not project into the V subgroup"),
+])
+def test_comparison_square_refusals(changes, message):
+    assert verify(comparison_square(**_comparison_data())).overall
+    with pytest.raises(ValueError, match=message):
+        comparison_square(**{**_comparison_data(), **changes})
