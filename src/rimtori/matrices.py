@@ -9,8 +9,9 @@ every question about one object shares them.  Equal but distinct
 objects do not share a reduction.
 
 A matrix built by ``hstack`` or ``block_diagonal`` starts its Hermite form from
-the forms its blocks already have, as HNF([R | G]) = HNF([HNF(R) | G]) and
-HNF(R + S) = HNF(R) + HNF(S); no block is reduced just for this.
+the forms its blocks already have, and their blocks in turn, at any depth, as
+HNF([R | G]) = HNF([HNF(R) | G]) and HNF(R + S) = HNF(R) + HNF(S); no block is
+reduced just for this, and one echelon run at most reduces the seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 
@@ -46,16 +47,21 @@ class IntMatrix:
     @property
     def _hermite(self) -> IntMatrix:
         if self._form is None:
-            diagonal, blocks = self._blocks
-            seeds = [b._form or b for b in blocks]
-            if diagonal and all(b._form for b in blocks):
-                form = block_diagonal(seeds)  # HNF(R + S) = HNF(R) + HNF(S)
-            elif seeds == blocks:
-                form = _echelon(self)  # no block has a form other than itself
-            else:
-                form = _echelon(block_diagonal(seeds) if diagonal else seeds[0].hstack(seeds[1]))
-            object.__setattr__(self, "_form", form)
+            seed, reduced = self._seed()
+            object.__setattr__(self, "_form", seed if reduced else _echelon(seed))
         return self._form
+
+    def _seed(self) -> tuple[IntMatrix, bool]:
+        """The same lattice with each nested block's held form in place of the block, and
+        whether that is already the Hermite form; built only if some nested block holds one."""
+        diagonal, blocks = self._blocks
+        seeds = [(b._form, True) if b._form else b._seed() if b._blocks[1] else (b, False)
+                 for b in blocks]
+        if all(s is b for (s, _), b in zip(seeds, blocks)):
+            return self, False
+        if diagonal:  # HNF(R + S) = HNF(R) + HNF(S)
+            return block_diagonal(s for s, _ in seeds), all(r for _, r in seeds)
+        return seeds[0][0].hstack(seeds[1][0]), False
 
     @cached_property
     def _smith(self) -> SmithDecomposition:
@@ -66,9 +72,8 @@ class IntMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows in matrix")
+        if not {self.cols}.issuperset(map(len, self.entries)):
+            raise ValueError("ragged rows in matrix")
         require_ints(self.entries, "matrix entries")
 
     # -- constructors ---------------------------------------------------
@@ -99,14 +104,13 @@ class IntMatrix:
             height = rows
         else:
             height = 0
-        for c in columns:
-            if len(c) != height:
-                raise ValueError("ragged columns")
+        if not {height}.issuperset(map(len, columns)):
+            raise ValueError("ragged columns")
         return IntMatrix(height, len(columns), tuple(zip(*columns)) if columns else ((),) * height)
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
-        return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> IntMatrix:
@@ -141,10 +145,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         cols = other.columns()
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries
-        )
+        data = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
         return IntMatrix(self.rows, other.cols, data)
 
     def __neg__(self) -> IntMatrix:
@@ -155,20 +156,22 @@ class IntMatrix:
                          tuple(tuple(c * x for x in row) for row in self.entries))
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        data = tuple(tuple(a + b for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.entries, other.entries))
-        return IntMatrix(self.rows, self.cols, data)
+        return self._entrywise(add, other)
 
     def __sub__(self, other: IntMatrix) -> IntMatrix:
-        return self + (-other)
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op, other: IntMatrix) -> IntMatrix:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in addition")
+        data = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
+        return IntMatrix(self.rows, self.cols, data)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self.entries)
+        return tuple([sum(map(mul, row, vector)) for row in self.entries])
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)

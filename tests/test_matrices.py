@@ -324,3 +324,96 @@ def test_determinant():
     assert determinant(IntMatrix.identity(3)) == 1
     assert determinant(IntMatrix.zeros(0, 0)) == 1
     assert determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+
+
+# -- products, sums, differences and identities against plain loops ------------
+
+def _grid(rows, cols):
+    """A rows x cols list of entry lists; either side may be 0."""
+    entry = st.integers(-3, 3) | st.integers(-10**12, 10**12)
+    return st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def product_inputs(draw):
+    """A, C (m x k), B (k x n) and a vector of length k, with m, k, n from 0 to 5."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    return draw(_grid(m, k)), draw(_grid(k, n)), draw(_grid(m, k)), draw(_grid(1, k))[0], (m, k, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(product_inputs())
+def test_products_match_plain_loops(case):
+    a_rows, b_rows, c_rows, vector, (m, k, n) = case
+    a = IntMatrix.from_rows(a_rows, cols=k)
+    b = IntMatrix.from_rows(b_rows, cols=n)
+    c = IntMatrix.from_rows(c_rows, cols=k)
+
+    product = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                product[i][j] += a_rows[i][t] * b_rows[t][j]
+    ab = a @ b
+    assert (ab.rows, ab.cols) == (m, n)
+    assert ab == IntMatrix.from_rows(product, cols=n)
+
+    applied = [0] * m
+    for i in range(m):
+        for t in range(k):
+            applied[i] += a_rows[i][t] * vector[t]
+    assert a.apply(vector) == tuple(applied)
+
+    difference = a - c
+    assert (difference.rows, difference.cols) == (m, k)
+    assert difference.entries == tuple(
+        tuple(a_rows[i][j] - c_rows[i][j] for j in range(k)) for i in range(m))
+    assert difference == a + (-c)
+    assert (a + c).entries == tuple(
+        tuple(a_rows[i][j] + c_rows[i][j] for j in range(k)) for i in range(m))
+
+    for size, left, right in ((k, a, IntMatrix.identity(k)), (m, IntMatrix.identity(m), a)):
+        unit = IntMatrix.identity(size)
+        assert unit.entries == tuple(
+            tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
+        assert left @ right == a
+    for built in (ab, difference, IntMatrix.identity(k)):
+        assert all(type(x) is int for row in built.entries for x in row)
+
+    with pytest.raises(ValueError, match="^shape mismatch in addition$"):
+        a - IntMatrix.zeros(m + 1, k)
+    with pytest.raises(ValueError, match="^shape mismatch in addition$"):
+        a - IntMatrix.zeros(m, k + 1)
+    with pytest.raises(ValueError, match="^shape mismatch in addition$"):
+        a + IntMatrix.zeros(m + 1, k)
+    with pytest.raises(ValueError, match="^cannot multiply"):
+        a @ IntMatrix.zeros(k + 1, n)
+    with pytest.raises(ValueError, match="^vector length does not match column count$"):
+        a.apply((*vector, 0))
+
+
+def test_refusals_keep_their_texts():
+    for build in (lambda: IntMatrix(2, 2, ((1, 2), (3,))),
+                  lambda: IntMatrix(2, 1, ((1,), (2, 3))),
+                  lambda: IntMatrix(1, 0, ((5,),)),
+                  lambda: IntMatrix.from_rows([(1, 2), (3,)]),
+                  lambda: IntMatrix.from_rows([(), (3,)])):
+        with pytest.raises(ValueError, match="^ragged rows in matrix$"):
+            build()
+    for columns in ([(1, 2), (3,)], [(1,), (2, 3)], [(), (1,)]):
+        with pytest.raises(ValueError, match="^ragged columns$"):
+            IntMatrix.from_columns(columns)
+    with pytest.raises(ValueError, match="^ragged columns$"):
+        IntMatrix.from_columns([(1, 2), (3, 4, 5)], rows=2)
+    with pytest.raises(ValueError, match="^row count does not match entries$"):
+        IntMatrix(2, 1, ((1,),))
+    with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+        IntMatrix(-1, 0, ())
+    for bad, shown in ((True, "bool True"), (False, "bool False"), (2.5, "float 2.5"),
+                       (2.0, "float 2.0"), ("3", "str '3'")):
+        text = f"^matrix entries must be int, not {shown}$"
+        for build in (lambda: IntMatrix(1, 2, ((1, bad),)),
+                      lambda: IntMatrix.from_rows([[1, 0], [0, bad]]),
+                      lambda: IntMatrix.from_columns([(1, 0), (0, bad)])):
+            with pytest.raises(TypeError, match=text):
+                build()

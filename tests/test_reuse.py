@@ -41,7 +41,7 @@ from rimtori.matrices import (
     solve_integral,
 )
 
-from oracles import random_divisor
+from oracles import hermite_form_echelon, random_divisor
 
 
 def _patch_everywhere(monkeypatch, original, replacement):
@@ -426,6 +426,115 @@ def test_deck_total_matches_a_fresh_direct_sum():
         product = block_diagonal([sheets, image])
         fresh = FgAbGroup(product.rows, IntMatrix(product.rows, product.cols, product.entries))
         assert report.total == fresh.canonical_form()
+
+
+# -- nested stacks start from every form their blocks hold ---------------------
+
+def _echelon_runs(monkeypatch):
+    runs = []
+    echelon = matrices._echelon
+
+    def recording(a):
+        runs.append(a)
+        return echelon(a)
+
+    monkeypatch.setattr(matrices, "_echelon", recording)
+    return runs
+
+
+def test_self_glue_starts_from_the_rim_tori_form(monkeypatch):
+    divisor = _swept_divisor()
+    rim = rim_tori_module(divisor)[0]
+    h = rim._hermite  # the rim tori form HNF(R | S) is held from here on
+    divisor.total_h1().canonical_form()
+    n = divisor.total_h1().ambient_rank
+    runs = _echelon_runs(monkeypatch)
+
+    glued = self_glue(divisor)
+    assert glued.canonical_form() == rim.canonical_form()
+    # [(R | S) + (R | S) | [I; I]] is reduced from H + H, in one echelon run
+    pairs = IntMatrix.identity(n).vstack(IntMatrix.identity(n))
+    assert runs == [block_diagonal([h, h]).hstack(pairs)]
+    assert runs[0].cols == 2 * h.cols + n
+    assert glued.relations.cols == 2 * rim.relations.cols + n
+
+
+def test_nested_blocks_without_forms_are_reduced_raw(monkeypatch):
+    rng = random.Random(15)
+
+    def leaf(rows, cols):
+        return IntMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    a, b, c, g = leaf(2, 3), leaf(1, 2), leaf(2, 1), leaf(5, 2)
+    inner = block_diagonal([a, b])
+    outer = block_diagonal([inner, c])
+    stacked = outer.hstack(g)
+    runs = _echelon_runs(monkeypatch)
+    form = hermite_form(stacked)
+    assert len(runs) == 1 and runs[0] is stacked
+    assert all(m._form is None for m in (a, b, c, g, inner, outer))
+    assert form == hermite_form_echelon(IntMatrix(5, stacked.cols, stacked.entries))
+
+
+@st.composite
+def nested_stacks(draw):
+    """A stack of direct sums and side-by-side stacks up to three levels deep.
+
+    Each block holds its Hermite form or not, as drawn.  Returns the stack
+    and every block in it.
+    """
+    blocks = []
+
+    def node(rows, depth):
+        kind = draw(st.sampled_from(["leaf", "diagonal", "side"])) if depth else "leaf"
+        if kind == "leaf":
+            cols = draw(st.integers(0, 3))
+            entries = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows))
+            m = IntMatrix.from_rows(entries, cols=cols)
+        elif kind == "diagonal":
+            cuts = sorted(draw(st.lists(st.integers(0, rows), max_size=2)))
+            sizes = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, rows])]
+            m = block_diagonal([node(size, depth - 1) for size in sizes])
+        else:
+            m = node(rows, depth - 1).hstack(node(rows, depth - 1))
+        if draw(st.booleans()):
+            hermite_form(m)  # held from here on
+        blocks.append(m)
+        return m
+
+    rows = draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["diagonal", "side"]))
+    if kind == "diagonal":
+        top = draw(st.integers(0, rows))
+        stacked = block_diagonal([node(top, 2), node(rows - top, 2)])
+    else:
+        stacked = node(rows, 2).hstack(node(rows, 2))
+    return stacked, blocks
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(nested_stacks())
+def test_nested_seeds_match_reference_echelon(case):
+    stacked, blocks = case
+    unreduced = [b for b in blocks if b._form is None]
+    runs = []
+    echelon = matrices._echelon
+
+    def recording(a):
+        runs.append(a)
+        return echelon(a)
+
+    matrices._echelon = recording
+    try:
+        form = hermite_form(stacked)
+    finally:
+        matrices._echelon = echelon
+    assert form == hermite_form_echelon(IntMatrix(stacked.rows, stacked.cols, stacked.entries))
+    # one echelon run at most, and no block is reduced to make a seed
+    assert len(runs) <= 1
+    assert all(b._form is None for b in unreduced)
 
 
 # -- a divisor builds its paper objects once ----------------------------------
