@@ -372,11 +372,10 @@ def test_products_match_plain_loops(case):
     assert (a + c).entries == tuple(
         tuple(a_rows[i][j] + c_rows[i][j] for j in range(k)) for i in range(m))
 
-    for size, left, right in ((k, a, IntMatrix.identity(k)), (m, IntMatrix.identity(m), a)):
-        unit = IntMatrix.identity(size)
-        assert unit.entries == tuple(
+    for size in (m, k):
+        assert IntMatrix.identity(size).entries == tuple(
             tuple(1 if i == j else 0 for j in range(size)) for i in range(size))
-        assert left @ right == a
+    assert a @ IntMatrix.identity(k) == a == IntMatrix.identity(m) @ a
     for built in (ab, difference, IntMatrix.identity(k)):
         assert all(type(x) is int for row in built.entries for x in row)
 

@@ -430,15 +430,20 @@ def test_deck_total_matches_a_fresh_direct_sum():
 
 # -- nested stacks start from every form their blocks hold ---------------------
 
-def _echelon_runs(monkeypatch):
-    runs = []
+def _recording_echelon(runs):
+    """The current ``matrices._echelon``, appending each input to ``runs``."""
     echelon = matrices._echelon
 
     def recording(a):
         runs.append(a)
         return echelon(a)
 
-    monkeypatch.setattr(matrices, "_echelon", recording)
+    return recording
+
+
+def _echelon_runs(monkeypatch):
+    runs = []
+    monkeypatch.setattr(matrices, "_echelon", _recording_echelon(runs))
     return runs
 
 
@@ -521,12 +526,7 @@ def test_nested_seeds_match_reference_echelon(case):
     unreduced = [b for b in blocks if b._form is None]
     runs = []
     echelon = matrices._echelon
-
-    def recording(a):
-        runs.append(a)
-        return echelon(a)
-
-    matrices._echelon = recording
+    matrices._echelon = _recording_echelon(runs)  # no monkeypatch: hypothesis reruns the body
     try:
         form = hermite_form(stacked)
     finally:
