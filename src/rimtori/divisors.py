@@ -78,6 +78,7 @@ class DivisorData:
     intersections: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        require_ints([(self.dim_v,), self.intersections or ()], "dim_v and intersections")
         if self.dim_v < 2 or self.dim_v % 2:
             raise ValueError("divisor dimension must be a positive even integer")
         if self.h_xv.ambient != self.total_h1():
@@ -321,12 +322,13 @@ def cover_homology_finitely_generated(
     components with contacts enter the conclusion.
     """
     _, finite_index = active_component_span(divisor, profile)
-    if isinstance(component_fg, bool):
-        flags = (component_fg,) * len(divisor.components)
-    else:
-        flags = tuple(component_fg)
-        if len(flags) != len(divisor.components):
-            raise ValueError("one finite-generation flag per component required")
+    flags = component_fg
+    if type(flags) is bool:
+        flags = (flags,) * len(divisor.components)
+    if not isinstance(flags, (list, tuple)) or not {bool}.issuperset(map(type, flags)):
+        raise TypeError(f"finite-generation flags must be bool, not {component_fg!r}")
+    if len(flags) != len(divisor.components):
+        raise ValueError("one finite-generation flag per component required")
     active_ok = all(flag for flag, s in zip(flags, profile.tuples) if s)
     return finite_index and active_ok
 

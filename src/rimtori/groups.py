@@ -22,7 +22,7 @@ from .matrices import (
     block_diagonal,
     hermite_contains,
     hermite_form,
-    integer_kernel,
+    kernel_projection,
     smith_decomposition,
 )
 
@@ -348,10 +348,7 @@ class Homomorphism:
         if sub.ambient != self.target:
             raise AmbientMismatchError("subgroup must live in the target group")
         stacked = self.matrix.hstack(sub.span_matrix())
-        ker = integer_kernel(stacked)
-        n = self.source.ambient_rank
-        gens = [col[:n] for col in ker.columns()]
-        return Subgroup(self.source, IntMatrix.from_columns(gens, rows=n))
+        return Subgroup(self.source, kernel_projection(stacked, self.source.ambient_rank))
 
     def is_injective(self) -> bool:
         return all(self.source.contains_vector(c) for c in self.kernel().generators.columns())

@@ -82,28 +82,18 @@ class IntMatrix:
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> IntMatrix:
         """Build from a list of rows; ``cols`` gives the empty case's width, else must match."""
         rows = tuple(map(tuple, rows))
-        if rows:
-            width = len(rows[0])
-            if cols is not None and cols != width:
-                raise ValueError(f"rows have {width} entries, not cols={cols}")
-        elif cols is not None:
-            width = cols
-        else:
-            width = 0
+        width = len(rows[0]) if rows else cols or 0
+        if cols is not None and cols != width:
+            raise ValueError(f"rows have {width} entries, not cols={cols}")
         return IntMatrix(len(rows), width, rows)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: int | None = None) -> IntMatrix:
         """Build from column vectors; ``rows`` gives the empty case's height, else must match."""
         columns = list(map(tuple, columns))
-        if columns:
-            height = len(columns[0])
-            if rows is not None and rows != height:
-                raise ValueError(f"columns have {height} entries, not rows={rows}")
-        elif rows is not None:
-            height = rows
-        else:
-            height = 0
+        height = len(columns[0]) if columns else rows or 0
+        if rows is not None and rows != height:
+            raise ValueError(f"columns have {height} entries, not rows={rows}")
         if not {height}.issuperset(map(len, columns)):
             raise ValueError("ragged columns")
         return IntMatrix(height, len(columns), tuple(zip(*columns)) if columns else ((),) * height)
@@ -442,16 +432,20 @@ def hermite_form(a: IntMatrix) -> IntMatrix:
 
 
 def _echelon(a: IntMatrix) -> IntMatrix:
-    """The column Hermite form of ``a`` by an echelon loop over its columns.
+    """The column Hermite form of ``a``: the echelon pass over its columns."""
+    h = list(map(list, a.columns()))
+    r = _echelon_pass(h, a.rows)
+    return IntMatrix(a.rows, r, tuple(zip(*h[:r])) if r else ((),) * a.rows)
 
-    A unit ends the scan for the least entry; the form is unchanged.
-    """
+
+def _echelon_pass(h: list[list[int]], pivots: int) -> int:
+    """Bring the vectors ``h`` in place, by unimodular steps, to column Hermite form on
+    coordinates 0 ... pivots-1; return the rank r, past which vectors are zero there."""
     # coordinate c is pivoted by vector r; vectors r and beyond are zero before
     # coordinate c, so every update touches coordinates c and beyond only
-    m = a.cols
-    h = list(map(list, a.columns()))
+    m = len(h)
     r = 0
-    for c in range(a.rows):
+    for c in range(pivots):
         if r == m:
             break
         while True:
@@ -490,8 +484,21 @@ def _echelon(a: IntMatrix) -> IntMatrix:
                 if q:
                     h[i][c:] = [x - q * y for x, y in zip(h[i][c:], tail)]
             r += 1
-    # vectors r and beyond have been reduced to zero
-    return IntMatrix(a.rows, r, tuple(zip(*h[:r])) if r else ((),) * a.rows)
+    return r
+
+
+def kernel_projection(a: IntMatrix, k: int) -> IntMatrix:
+    """Columns spanning the first ``k`` coordinates of the integer kernel of ``a``.
+
+    The echelon pass runs on the columns of [a; I_k 0], pivoting a's rows; as it is
+    unimodular, the lower parts of the vectors past the rank span that projection.
+    """
+    if not 0 <= k <= a.cols:
+        raise ValueError(f"cannot project the kernel of {a.cols} columns onto {k} coordinates")
+    lower = IntMatrix.identity(k).entries + ((0,) * k,) * (a.cols - k)
+    h = [list(col + e) for col, e in zip(a.columns(), lower)]
+    r = _echelon_pass(h, a.rows)
+    return IntMatrix.from_columns([v[a.rows:] for v in h[r:]], rows=k)
 
 
 def hermite_contains(h: IntMatrix, b: Sequence[int]) -> bool:

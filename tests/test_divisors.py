@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -646,3 +647,25 @@ def test_divisor_functions_refuse_malformed_data(name):
     call, message = _refused_calls()[name]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# -- coerced library inputs are refused -----------------------------------------
+
+@pytest.mark.parametrize("make, shown", [
+    (lambda t: DivisorData((t,), t.h1.zero_subgroup(), dim_v=2.0), "float 2.0"),
+    (lambda t: DivisorData((t,), t.h1.zero_subgroup(), dim_v=True), "bool True"),
+    (lambda t: DivisorData((t,), t.h1.zero_subgroup(), intersections=(True,)), "bool True"),
+    (lambda t: DivisorData((t,), t.h1.zero_subgroup(), intersections=(2.0,)), "float 2.0"),
+])
+def test_divisor_data_refuses_numbers_that_are_not_ints(make, shown):
+    # dim_v=2.0 made vanishing_threshold a float, and intersections (True,) read as (1,)
+    with pytest.raises(TypeError, match=f"must be int, not {shown}"):
+        make(torus_component())
+
+
+@pytest.mark.parametrize("flags", ["no", ["yes", "no"], 0, [1], (None,), [True, 1]])
+def test_finite_generation_refuses_flags_that_are_not_bools(flags):
+    # "no" and ["yes", "no"] were read as True, and 0 raised "'int' object is not iterable"
+    with pytest.raises(TypeError, match=f"flags must be bool, not {re.escape(repr(flags))}"):
+        cover_homology_finitely_generated(two_fiber_divisor(), ContactProfile.of([1], [1]),
+                                          component_fg=flags)
