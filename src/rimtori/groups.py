@@ -23,6 +23,7 @@ from .matrices import (
     hermite_contains,
     hermite_form,
     kernel_projection,
+    require_ints,
     smith_decomposition,
 )
 
@@ -180,8 +181,7 @@ class FgAbGroup:
         """
         if sub.ambient != self:
             raise AmbientMismatchError("subgroup lives in a different ambient group")
-        span = sub.span_matrix()
-        dec = smith_decomposition(span)
+        dec = smith_decomposition(sub.span_matrix())
         diag = dec.diagonal()
         if len(diag) < self.ambient_rank or any(d == 0 for d in diag):
             raise ValueError("subgroup has infinite index; no finite transversal")
@@ -189,11 +189,8 @@ class FgAbGroup:
         if index > COSET_LIMIT:
             raise ValueError(f"subgroup has index {index}; at most {COSET_LIMIT} cosets "
                              "are enumerated")
-        # U^-1 D = A V, so column i of U^-1 is column i of A V divided by d_i
-        av = span @ dec.v
-        columns = [[x // d for x in av.column(i)] for i, d in enumerate(diag)]
-        uinv = IntMatrix.from_columns(columns, rows=self.ambient_rank)
-        return [uinv.apply(combo) for combo in itertools.product(*(range(d) for d in diag))]
+        # A = U^-1 D V^-1, so U^-1 maps the box 0 <= x_i < d_i, one per coset of D, onto A's
+        return [dec._u_inverse.apply(x) for x in itertools.product(*(range(d) for d in diag))]
 
     def __str__(self) -> str:
         return self.canonical_string()
@@ -323,6 +320,7 @@ class Homomorphism:
         return Homomorphism(group, group, IntMatrix.identity(group.ambient_rank))
 
     def __call__(self, vector: Sequence[int]) -> tuple[int, ...]:
+        require_ints([vector], "vector entries")
         return self.matrix.apply(vector)
 
     def compose(self, inner: Homomorphism) -> Homomorphism:

@@ -237,6 +237,13 @@ def _replay_on_rows(ops: Iterable[Op], rows: list[list[int]]) -> None:
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
 
 
+def _replayed_identity(ops: Iterable[Op], n: int, start: int = 0) -> IntMatrix:
+    """Columns start, start + 1, ... of the n x n identity with ``ops`` replayed on them."""
+    rows = [[int(i == j) for j in range(start, n)] for i in range(n)]
+    _replay_on_rows(ops, rows)
+    return IntMatrix.from_rows(rows, cols=n - start)
+
+
 @dataclass(frozen=True)
 class SmithDecomposition:
     """Diagonal D = U @ A @ V, kept as D plus the operations that produced it.
@@ -244,9 +251,9 @@ class SmithDecomposition:
     The diagonal entries of D are nonnegative and each divides the next.
     ``row_ops`` are the row operations of the elimination in order, so U
     is them applied to the identity; ``col_ops`` are its column
-    operations, so V is them applied to the identity's columns.  ``u``
-    and ``v`` are built from the logs when first read; ``solve`` and
-    ``kernel`` replay the logs on vectors and build neither.
+    operations, so V is them applied to the identity's columns.  Every
+    transform is one log replayed on the identity when first read;
+    ``solve`` replays the logs on vectors and builds none.
     """
 
     d: IntMatrix
@@ -255,18 +262,17 @@ class SmithDecomposition:
 
     @cached_property
     def u(self) -> IntMatrix:
-        m = self.d.rows
-        rows = [[int(i == j) for j in range(m)] for i in range(m)]
-        _replay_on_rows(self.row_ops, rows)
-        return IntMatrix.from_rows(rows, cols=m)
+        return _replayed_identity(self.row_ops, self.d.rows)
+
+    @cached_property
+    def _u_inverse(self) -> IntMatrix:
+        # the row log undone last to first: swaps and negations undo themselves, c becomes -c
+        undo = tuple((i, j, c if i == j else -c) for i, j, c in reversed(self.row_ops))
+        return _replayed_identity(undo, self.d.rows)
 
     @cached_property
     def v(self) -> IntMatrix:
-        n = self.d.cols
-        # a column operation on V is the same row operation on V^T
-        columns = [[int(i == j) for j in range(n)] for i in range(n)]
-        _replay_on_rows(self.col_ops, columns)
-        return IntMatrix.from_columns(columns, rows=n)
+        return _replayed_identity(self._v_ops, self.d.cols)
 
     @cached_property
     def _v_ops(self) -> tuple[Op, ...]:
@@ -282,11 +288,9 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         return self._diagonal
 
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
-
     def solve(self, b: Sequence[int]) -> tuple[int, ...] | None:
         """Solve A @ x = b over the integers, as D y = U b and x = V y; None if unsolvable."""
+        require_ints([b], "vector entries")
         if len(b) != self.d.rows:
             raise ValueError("right-hand side length does not match row count")
         c = list(b)
@@ -306,11 +310,7 @@ class SmithDecomposition:
 
     def kernel(self) -> IntMatrix:
         """Columns rank, rank + 1, ... of V: a basis of the integer kernel of A."""
-        n, rank = self.d.cols, self.rank()
-        # row i holds entry i of each unit vector e_rank, ..., e_(n-1)
-        rows = [[int(i == j) for j in range(rank, n)] for i in range(n)]
-        _replay_on_rows(self._v_ops, rows)
-        return IntMatrix.from_rows(rows, cols=n - rank)
+        return _replayed_identity(self._v_ops, self.d.cols, sum(map(bool, self.diagonal())))
 
 
 def smith_decomposition(a: IntMatrix) -> SmithDecomposition:
@@ -520,7 +520,6 @@ def hermite_contains(h: IntMatrix, b: Sequence[int]) -> bool:
 
 def solve_integral(a: IntMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     """Solve a @ x = b over the integers; None when no solution exists."""
-    require_ints([b], "vector entries")
     return smith_decomposition(a).solve(b)
 
 

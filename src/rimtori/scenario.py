@@ -221,6 +221,8 @@ def _parse_square(spec, context: str) -> ExactSquare:
     col_places = [(nodes[seg][i], nodes[seg + 1][i]) for i in range(3) for seg in range(2)]
     row_maps = parse_maps("row_maps", row_places)
     col_maps = parse_maps("col_maps", col_places)
+    # a guard only: no JSON input reaches it, as the grid and the map counts are checked
+    # above; tests/test_refusals.py reaches it only by patching ExactSquare
     try:
         return ExactSquare(nodes, row_maps, col_maps)
     except ValueError as exc:

@@ -362,6 +362,15 @@ def test_membership_refuses_entries_that_are_not_ints():
                 contains((bad,))
 
 
+def test_homomorphism_call_refuses_entries_that_are_not_ints():
+    # a bool was read as 0 or 1 and a float carried into the image
+    f = Homomorphism(Z2, FgAbGroup.from_invariants(0, [6]), IntMatrix.from_rows([[2, 3]]))
+    for bad, shown in (((True, 2), "bool True"), ((0.5, 1), "float 0.5"), ((1, "2"), "str '2'")):
+        with pytest.raises(TypeError, match=f"vector entries must be int, not {shown}"):
+            f(bad)
+    assert f((1, 2)) == (8,)
+
+
 def _mismatched_calls():
     """Each call mixes objects over two different ambient groups."""
     g, h = FgAbGroup.from_invariants(1, [4]), FgAbGroup.free(2)

@@ -12,6 +12,7 @@ from rimtori.matrices import (
     hermite_form,
     integer_kernel,
     lattice_contains,
+    smith_decomposition,
     smith_normal_form,
     solve_integral,
 )
@@ -255,6 +256,15 @@ def test_solve_refuses_entries_that_are_not_ints():
             solve_integral(a, (bad,))
         with pytest.raises(TypeError, match=f"must be int, not {shown}"):
             lattice_contains(a, (bad,))
+
+
+def test_decomposition_solve_refuses_entries_that_are_not_ints():
+    # the decomposition's own solve divided a float through to (2.0, 1.0)
+    dec = smith_decomposition(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    for bad, shown in ((4.0, "float 4.0"), (True, "bool True"), ("4", "str '4'")):
+        with pytest.raises(TypeError, match=f"vector entries must be int, not {shown}"):
+            dec.solve((bad, 3))
+    assert dec.solve((4, 3)) == (2, 1)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
