@@ -5,8 +5,10 @@ product of contact copies is C x T, where T is the subtorus of tuples
 whose weighted sum is a lattice point.  Points carry rational complex
 coordinates (pairs of Fractions), reduced mod Z + iZ on torus factors
 after every operation, so equality is decidable and every identity below
-is checked exactly.  Only the two-torus model gets a point-level API;
-higher-dimensional tori are summarized by their rank profile.
+is checked exactly.  Float and bool coordinate parts and weights that are
+not ints are refused with a TypeError, never coerced.  Only the two-torus
+model gets a point-level API; higher-dimensional tori are summarized by
+their rank profile.
 """
 
 from __future__ import annotations
@@ -17,12 +19,16 @@ from fractions import Fraction
 from typing import Sequence
 
 from .groups import Subgroup
+from .matrices import require_ints
 
 Complex = tuple[Fraction, Fraction]
 
 
 def _as_complex(value) -> Complex:
     re, im = value
+    for x in (re, im):
+        if isinstance(x, (float, bool)):
+            raise TypeError(f"coordinates must be exact, not {type(x).__name__} {x!r}")
     return (Fraction(re), Fraction(im))
 
 
@@ -70,6 +76,7 @@ class CoverPoint:
 
 
 def weighted_sum(weights: Sequence[int], point: TorusPoint) -> Complex:
+    require_ints([weights], "weights")
     if len(weights) != len(point.coordinates):
         raise ValueError("weight tuple length does not match point length")
     total = (Fraction(0), Fraction(0))
@@ -86,6 +93,7 @@ def in_weighted_subtorus(weights: Sequence[int], point: TorusPoint) -> bool:
 def _require_weights(weights):
     if not weights:
         raise ValueError("at least one contact point required")
+    require_ints([weights], "weights")
     if any(s == 0 for s in weights):
         raise ValueError("weights must be nonzero")
 

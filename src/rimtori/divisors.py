@@ -24,7 +24,7 @@ from .groups import (
     Homomorphism,
     Subgroup,
 )
-from .matrices import IntMatrix, block_diagonal, determinant, require_ints, smith_normal_form
+from .matrices import IntMatrix, block_diagonal, hermite_form, require_ints, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,7 @@ def vanishing_cycles(side_x: DivisorData, side_y: DivisorData,
         ident = IntMatrix.identity(n)  # invertible over Z by construction
     elif ident.rows != n or ident.cols != n:
         raise ValueError("identification matrix must be square on the H_1 ambient")
-    elif abs(determinant(ident)) != 1:
+    elif hermite_form(ident) != IntMatrix.identity(n):  # unimodular iff its HNF is I_n
         raise ValueError("identification must be invertible over the integers")
     Homomorphism(h1x, h1y, ident)  # raises if relations are not respected
     rims = (side_x.h_xv.quotient_group(), side_y.h_xv.quotient_group())

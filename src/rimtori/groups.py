@@ -73,6 +73,9 @@ class FgAbGroup:
     relations: IntMatrix
 
     def __post_init__(self):
+        if type(self.ambient_rank) is not int:
+            bad = self.ambient_rank
+            raise TypeError(f"ambient rank must be int, not {type(bad).__name__} {bad!r}")
         if self.relations.rows != self.ambient_rank:
             raise ValueError("relation matrix must have ambient_rank rows")
 

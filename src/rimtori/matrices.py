@@ -68,6 +68,9 @@ class IntMatrix:
         return _eliminate(self)
 
     def __post_init__(self):
+        if type(self.rows) is not int or type(self.cols) is not int:
+            bad = self.cols if type(self.rows) is int else self.rows
+            raise TypeError(f"matrix dimensions must be int, not {type(bad).__name__} {bad!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows:
@@ -211,9 +214,9 @@ def determinant(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-# An elementary operation (i, j, c) on entries i, j of a vector, or on rows
-# i, j of a matrix: add c times j to i when c != 0, swap them when c == 0,
-# and negate i when (i, j, c) == (i, i, -1).  Column operations never negate.
+# An elementary operation (i, j, c) on entries i, j of a vector: add c times
+# entry j to entry i when c != 0, swap them when c == 0, and negate i when
+# (i, j, c) == (i, i, -1).  Column operations never negate.
 Op = tuple[int, int, int]
 
 
@@ -227,21 +230,12 @@ def _replay_on_vector(ops: Iterable[Op], x: list[int]) -> None:
             x[i] += c * x[j]
 
 
-def _replay_on_rows(ops: Iterable[Op], rows: list[list[int]]) -> None:
-    for i, j, c in ops:
-        if not c:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif i == j:
-            rows[i] = [-x for x in rows[i]]
-        else:
-            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-
-
-def _replayed_identity(ops: Iterable[Op], n: int, start: int = 0) -> IntMatrix:
-    """Columns start, start + 1, ... of the n x n identity with ``ops`` replayed on them."""
-    rows = [[int(i == j) for j in range(start, n)] for i in range(n)]
-    _replay_on_rows(ops, rows)
-    return IntMatrix.from_rows(rows, cols=n - start)
+def _replayed_identity(ops: Sequence[Op], n: int, start: int = 0) -> IntMatrix:
+    """Columns start, start + 1, ... of the n x n identity with ``ops`` replayed on each."""
+    columns = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(start, n)]
+    for x in columns:
+        _replay_on_vector(ops, x)
+    return IntMatrix.from_columns(columns, rows=n)
 
 
 @dataclass(frozen=True)
@@ -251,9 +245,9 @@ class SmithDecomposition:
     The diagonal entries of D are nonnegative and each divides the next.
     ``row_ops`` are the row operations of the elimination in order, so U
     is them applied to the identity; ``col_ops`` are its column
-    operations, so V is them applied to the identity's columns.  Every
-    transform is one log replayed on the identity when first read;
-    ``solve`` replays the logs on vectors and builds none.
+    operations, so V is them applied to the identity's columns.  Each log
+    has one reader, ``_replay_on_vector``: U, U^-1, V and ``kernel()`` are
+    its replays on unit vectors when first read, ``solve`` its replay on b.
     """
 
     d: IntMatrix

@@ -165,3 +165,25 @@ def test_empty_weights_raise_value_error():
                  lambda: rank_profile(2, FgAbGroup.free(2).zero_subgroup(), ())):
         with pytest.raises(ValueError, match="at least one contact point required"):
             call()
+
+
+def test_inexact_coordinates_and_weights_are_refused():
+    # a bool part was read as 0 or 1, a float stored as its binary fraction, and a
+    # float weight gave a rank profile or raised AttributeError
+    for call, shown in ((lambda: base_point([2], (True, 0)), "bool True"),
+                        (lambda: TorusPoint.of([(0.1, 0)]), "float 0.1"),
+                        (lambda: CoverPoint.of((0, 0.5), [(0, 0)]), "float 0.5"),
+                        (lambda: deck_act([1], [(1, False)], CoverPoint.of((0, 0), [(0, 0)])),
+                         "bool False")):
+        with pytest.raises(TypeError, match=f"^coordinates must be exact, not {shown}$"):
+            call()
+    point = TorusPoint.of([(0, 0)])
+    for call, shown in ((lambda: rank_profile(2, FgAbGroup.free(2).zero_subgroup(), [2.5]),
+                         "float 2.5"),
+                        (lambda: in_weighted_subtorus([2.5], point), "float 2.5"),
+                        (lambda: weighted_sum([True], point), "bool True"),
+                        (lambda: base_point(["2"], (1, 0)), "str '2'")):
+        with pytest.raises(TypeError, match=f"^weights must be int, not {shown}$"):
+            call()
+    # strings and Fractions are exact and stay accepted
+    assert TorusPoint.of([("1/2", Fraction(4, 3))]) == TorusPoint.of([(Fraction(1, 2), "1/3")])

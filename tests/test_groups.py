@@ -371,6 +371,17 @@ def test_homomorphism_call_refuses_entries_that_are_not_ints():
     assert f((1, 2)) == (8,)
 
 
+def test_ambient_rank_must_be_an_int():
+    # free(True) rendered as "Z" and from_invariants(True, [2]) as "Z + Z/2"
+    for build, shown in ((lambda: FgAbGroup(True, IntMatrix.zeros(1, 0)), "bool True"),
+                         (lambda: FgAbGroup(2.0, IntMatrix.zeros(2, 0)), "float 2.0")):
+        with pytest.raises(TypeError, match=f"^ambient rank must be int, not {shown}$"):
+            build()
+    for build in (lambda: FgAbGroup.free(True), lambda: FgAbGroup.from_invariants(True, [2])):
+        with pytest.raises(TypeError, match="^matrix dimensions must be int, not bool True$"):
+            build()
+
+
 def _mismatched_calls():
     """Each call mixes objects over two different ambient groups."""
     g, h = FgAbGroup.from_invariants(1, [4]), FgAbGroup.free(2)

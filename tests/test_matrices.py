@@ -157,6 +157,16 @@ def test_constructor_refuses_entries_that_are_not_ints():
         IntMatrix(2, 2, ((1, 2), (3,)))
 
 
+def test_dimensions_must_be_ints():
+    # a bool was taken for 1 and a float compared as the number it equals
+    for build, shown in ((lambda: IntMatrix(True, 1, ((5,),)), "bool True"),
+                         (lambda: IntMatrix(1, 1.0, ((5,),)), "float 1.0"),
+                         (lambda: IntMatrix("0", 0, ()), "str '0'"),
+                         (lambda: IntMatrix.from_rows([], cols=True), "bool True")):
+        with pytest.raises(TypeError, match=f"^matrix dimensions must be int, not {shown}$"):
+            build()
+
+
 @st.composite
 def hermite_inputs(draw):
     """Up to 10 x 12, entries up to 10^6, some columns combinations of earlier ones."""
