@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from operator import add, mod, mul
 from typing import Callable, Sequence, TypeVar
 
 from .groups import (
@@ -43,6 +44,8 @@ class DivisorComponent:
     flux: IntMatrix | None = None
 
     def __post_init__(self):
+        if not isinstance(self.is_torus, bool):
+            raise TypeError(f"is_torus of {self.name!r} must be bool, not {self.is_torus!r}")
         if self.flux is not None and self.flux.rows != self.h1.ambient_rank:
             raise ValueError(f"flux generators of {self.name!r} must live in its H_1 ambient")
 
@@ -417,11 +420,12 @@ def deck_action(divisor: DivisorData, profile: ContactProfile,
                 eta: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """Action of an ambient H_1 class on the sheets of the contact cover.
 
-    ``representatives`` must be a full transversal of the quotient of the
-    rim tori module by the contact image.  For each representative j the
-    class ``eta`` sends sheet j to a unique sheet j', shifted by a
-    translation witness from the cover's source lattice; the returned
-    list pairs each j with (j', witness).
+    ``representatives`` must be a full transversal of the rim tori module
+    modulo the contact image.  The class ``eta`` sends each sheet j to a
+    unique sheet j', shifted by a witness from the cover's source lattice;
+    the result pairs each j with (j', witness).  With D = U L V for the
+    sheet lattice L, the label U v names the sheet of v modulo diag(D), and
+    solving is linear, so each witness is V D^-1 (U gamma + U eta - U gamma').
     """
     phi = contact_sum_hom(divisor, profile)
     n = divisor.total_h1().ambient_rank
@@ -436,8 +440,7 @@ def deck_action(divisor: DivisorData, profile: ContactProfile,
     if len(eta) != n:
         raise ValueError("eta must be an ambient H_1 vector")
 
-    # the sheets are the cosets of the contact image plus h_xv plus relations;
-    # with D = U L V for that lattice L, the sheet of v is U v mod diag(D)
+    # the sheets are the cosets of the contact image plus h_xv plus relations
     dec = smith_normal_form(phi.matrix.hstack(divisor.h_xv.span_matrix()))
     diag = dec.diagonal()
     if len(diag) < n or 0 in diag:
@@ -446,17 +449,15 @@ def deck_action(divisor: DivisorData, profile: ContactProfile,
     if len(reps) != sheet_count:
         raise ValueError(f"expected {sheet_count} coset representatives, got {len(reps)}")
 
-    def sheet(v):
-        return tuple(x % d for x, d in zip(dec.u.apply(v), diag))
-
-    index = {sheet(v): j for j, v in enumerate(reps)}
+    *labels, u_eta = map(dec.u.apply, (*reps, eta))
+    index = {tuple(map(mod, label, diag)): j for j, label in enumerate(labels)}
     if len(index) != len(reps):
         raise ValueError("representatives are not pairwise distinct sheets")
-
+    v_rows = [row[:n] for row in dec.v.entries[: phi.source.ambient_rank]]
     result = []
-    for gamma in reps:
-        shifted = tuple(g + e for g, e in zip(gamma, eta))
-        target = index[sheet(shifted)]
-        witness = dec.solve(tuple(x - y for x, y in zip(shifted, reps[target])))
-        result.append((target, witness[: phi.source.ambient_rank]))
+    for label in labels:
+        shifted = tuple(map(add, label, u_eta))
+        target = index[tuple(map(mod, shifted, diag))]
+        y = [(s - t) // d for s, t, d in zip(shifted, labels[target], diag)]  # exact: one sheet
+        result.append((target, tuple([sum(map(mul, row, y)) for row in v_rows])))
     return result

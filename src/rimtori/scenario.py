@@ -41,6 +41,11 @@ from .matrices import IntMatrix
 from .squares import ExactSquare
 
 
+# the largest group or H_1 rank a scenario may declare: the identity matrix of
+# that rank has 2^20 entries, as many as ``groups.COSET_LIMIT`` enumerates
+RANK_LIMIT = 2**10
+
+
 class ScenarioError(Exception):
     """Any problem with a scenario file."""
 
@@ -116,6 +121,7 @@ def _parse_group(spec, context: str) -> FgAbGroup:
     _require(isinstance(spec, dict), f"{context}: expected an object")
     rank = spec.get("rank", 0)
     _require(_is_int(rank) and rank >= 0, f"{context}: rank must be a nonnegative integer")
+    _require(rank <= RANK_LIMIT, f"{context}: rank {rank} exceeds the limit of {RANK_LIMIT}")
     relations = _column_matrix(spec.get("relations", []), rank, f"{context}.relations")
     return FgAbGroup(rank, relations)
 
@@ -128,6 +134,7 @@ def _parse_component(spec, context: str) -> DivisorComponent:
     _require(isinstance(h1_spec, dict), f"{context}: component needs an h1 object")
     rank = h1_spec.get("rank", 0)
     _require(_is_int(rank) and rank >= 0, f"{context}.h1: rank must be a nonnegative integer")
+    _require(rank <= RANK_LIMIT, f"{context}.h1: rank {rank} exceeds the limit of {RANK_LIMIT}")
     torsion = _int_list(h1_spec.get("torsion", []), f"{context}.h1.torsion")
     _require(all(d > 1 for d in torsion), f"{context}.h1.torsion: orders must exceed 1")
     h1 = FgAbGroup.from_invariants(rank, torsion)

@@ -20,8 +20,8 @@ diagonal and operations.
 
 from __future__ import annotations
 
-import itertools
 import random
+from operator import add
 
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors
@@ -104,19 +104,18 @@ def sympy_cokernel_canonical(rows: list[list[int]], target_rank: int):
 
 def lattice_points_in_box(generator_columns: list[tuple[int, ...]], bound: int,
                           coeff_bound: int = 12) -> set[tuple[int, ...]]:
-    """All lattice points with coordinates in [-bound, bound], brute force."""
-    if not generator_columns:
-        dim = 0
-    else:
-        dim = len(generator_columns[0])
-    points = set()
-    for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1),
-                                    repeat=len(generator_columns)):
-        v = tuple(sum(c * g[i] for c, g in zip(coeffs, generator_columns))
-                  for i in range(dim))
-        if all(abs(x) <= bound for x in v):
-            points.add(v)
-    return points
+    """All lattice points with coordinates in [-bound, bound], brute force.
+
+    The combinations with coefficients in [-coeff_bound, coeff_bound] are
+    built as iterated sums, one column at a time with duplicates dropped,
+    and only the final set is cut to the box.
+    """
+    dim = len(generator_columns[0]) if generator_columns else 0
+    points = {(0,) * dim}
+    for g in generator_columns:
+        multiples = [tuple(c * x for x in g) for c in range(-coeff_bound, coeff_bound + 1)]
+        points = {tuple(map(add, p, m)) for p in points for m in multiples}
+    return {v for v in points if all(abs(x) <= bound for x in v)}
 
 
 # -- independent exactness oracle for squares of free groups ----------------

@@ -25,6 +25,7 @@ from rimtori import (
     vanishing_cycles_from_pairs,
     vanishing_threshold,
 )
+from rimtori.matrices import solve_integral
 
 from oracles import deck_action_quadratic, random_divisor, sympy_cokernel_canonical
 
@@ -552,6 +553,28 @@ def test_deck_action_exact_output():
         assert deck_action(d, profile, reps, eta) == pairs
 
 
+@pytest.mark.parametrize("g", [4, 8, 12])
+def test_deck_action_on_many_sheets_matches_a_solve_per_sheet(g):
+    """Contact orders (2g, 3g) on a torus give g^2 sheets (16, 64, 144); each
+    target and witness is what one solve on the raw sheet lattice gives."""
+    rng = random.Random(g)
+    d = elliptic_fiber_divisor()
+    profile = ContactProfile.of([2 * g, 3 * g])
+    lattice = contact_sum_hom(d, profile).matrix.hstack(d.h_xv.span_matrix())
+    reps = [(a + g * rng.randint(-2, 2), b + g * rng.randint(-2, 2))
+            for a in range(g) for b in range(g)]
+    rng.shuffle(reps)
+    for _ in range(3):
+        eta = (rng.randint(-2 * g, 2 * g), rng.randint(-2 * g, 2 * g))
+        action = deck_action(d, profile, reps, eta)
+        assert len(action) == g * g
+        for gamma, (target, witness) in zip(reps, action):
+            shifted = (gamma[0] + eta[0], gamma[1] + eta[1])
+            solved = solve_integral(lattice, (shifted[0] - reps[target][0],
+                                              shifted[1] - reps[target][1]))
+            assert solved is not None and witness == solved[:4]
+
+
 @st.composite
 def sheet_problems(draw):
     """A small divisor, a profile with finitely many sheets, a moved and
@@ -669,3 +692,11 @@ def test_finite_generation_refuses_flags_that_are_not_bools(flags):
     with pytest.raises(TypeError, match=f"flags must be bool, not {re.escape(repr(flags))}"):
         cover_homology_finitely_generated(two_fiber_divisor(), ContactProfile.of([1], [1]),
                                           component_fg=flags)
+
+
+@pytest.mark.parametrize("flag", ["no", 0, 1, None])
+def test_torus_flag_must_be_a_bool(flag):
+    # is_torus="no" was truthy, so flux_generators() returned full flux
+    shown = re.escape(repr(flag))
+    with pytest.raises(TypeError, match=f"is_torus of 'T' must be bool, not {shown}"):
+        DivisorComponent("T", Z2, is_torus=flag)

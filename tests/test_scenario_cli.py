@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from rimtori.cli import COMMANDS, EXIT_INTERNAL, main, run
+from rimtori.matrices import IntMatrix
 from rimtori.scenario import (
+    RANK_LIMIT,
     Scenario,
     ScenarioInvariantError,
     ScenarioParseError,
@@ -306,3 +308,43 @@ def test_readme_scenario_refusals(tmp_path, capsys, edit, code, message):
     assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _with_rank(where, rank):
+    """A shipped scenario with one declared rank replaced: the document, the
+    command and name that read it, and where the rank sits."""
+    if where == "group":
+        document = json.loads(corpus("gluing_square.json").read_text())
+        document["squares"]["elliptic_p1xt2_explicit"]["nodes"][1][2] = {"rank": rank}
+        return (document, "verify-square", "elliptic_p1xt2_explicit",
+                "squares.elliptic_p1xt2_explicit.nodes[1][2]")
+    document = json.loads(corpus("elliptic_surface.json").read_text())
+    document["divisors"]["elliptic_fiber"]["components"][0]["h1"]["rank"] = rank
+    return document, "compute", "elliptic_fiber", "divisors.elliptic_fiber.components[0].h1"
+
+
+@pytest.mark.parametrize("rank", [2**64, RANK_LIMIT + 1])
+@pytest.mark.parametrize("where", ["group", "h1"])
+def test_ranks_above_the_limit_exit_2(tmp_path, capsys, monkeypatch, where, rank):
+    # a rank of 2^64 exited 4 with an OverflowError, and as an h1 rank it hung
+    # building its matrices: fail fast if a matrix above the cap is ever built
+    def capped(build):
+        def guarded(*dims):
+            assert max(dims) <= RANK_LIMIT, f"built a matrix of dimensions {dims}"
+            return build(*dims)
+        return staticmethod(guarded)
+
+    monkeypatch.setattr(IntMatrix, "zeros", capped(IntMatrix.zeros))
+    monkeypatch.setattr(IntMatrix, "identity", capped(IntMatrix.identity))
+    document, command, name, context = _with_rank(where, rank)
+    path = tmp_path / "ranks.json"
+    path.write_text(json.dumps(document))
+    assert main([command, "--scenario", str(path), "--name", name]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {context}: rank {rank} exceeds the limit of {RANK_LIMIT}\n"
+
+
+def test_rank_at_the_limit_is_accepted():
+    document = _with_rank("h1", RANK_LIMIT)[0]
+    divisor = parse_scenario(json.dumps(document)).divisors["elliptic_fiber"]
+    assert divisor.total_h1().ambient_rank == RANK_LIMIT
