@@ -12,6 +12,11 @@ A matrix built by ``hstack`` or ``block_diagonal`` starts its Hermite form from
 the forms its blocks already have, and their blocks in turn, at any depth, as
 HNF([R | G]) = HNF([HNF(R) | G]) and HNF(R + S) = HNF(R) + HNF(S); no block is
 reduced just for this, and one echelon run at most reduces the seed.
+
+Values are checked once, where they enter: the ``IntMatrix(...)`` constructor,
+``from_rows``, ``from_columns``, ``identity``, ``zeros``, ``scale`` and every function
+taking a vector.  What the library builds from matrices it holds skips the entry scan:
+``@``, ``+``, ``-``, stacks, Hermite forms, ``kernel_projection``, the Smith ``d`` and U, V.
 """
 
 from __future__ import annotations
@@ -29,6 +34,28 @@ def require_ints(rows: Sequence[Sequence], what: str) -> None:
     if not {int}.issuperset(map(type, chain.from_iterable(rows))):
         bad = next(x for x in chain.from_iterable(rows) if type(x) is not int)
         raise TypeError(f"{what} must be int, not {type(bad).__name__} {bad!r}")
+
+
+def _require_dimensions(rows, cols) -> None:
+    if type(rows) is not int or type(cols) is not int:
+        bad = cols if type(rows) is int else rows
+        raise TypeError(f"matrix dimensions must be int, not {type(bad).__name__} {bad!r}")
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+
+
+def _trusted(rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> IntMatrix:
+    """A matrix of entries already checked or built from checked ones, with no scan; fields
+    set in ``__init__``'s order keep the instance dict's keys shared with checked matrices."""
+    matrix = object.__new__(IntMatrix)
+    object.__setattr__(matrix, "rows", rows)
+    object.__setattr__(matrix, "cols", cols)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
+
+
+def _trusted_columns(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    return _trusted(rows, len(columns), tuple(zip(*columns)) if columns else ((),) * rows)
 
 
 @dataclass(frozen=True)
@@ -68,11 +95,7 @@ class IntMatrix:
         return _eliminate(self)
 
     def __post_init__(self):
-        if type(self.rows) is not int or type(self.cols) is not int:
-            bad = self.cols if type(self.rows) is int else self.rows
-            raise TypeError(f"matrix dimensions must be int, not {type(bad).__name__} {bad!r}")
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _require_dimensions(self.rows, self.cols)
         if len(self.entries) != self.rows:
             raise ValueError("row count does not match entries")
         if not {self.cols}.issuperset(map(len, self.entries)):
@@ -103,11 +126,13 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> IntMatrix:
-        return IntMatrix(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
+        _require_dimensions(n, n)
+        return _trusted(n, n, tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> IntMatrix:
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
+        _require_dimensions(rows, cols)
+        return _trusted(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     # -- basic structure ------------------------------------------------
 
@@ -125,28 +150,30 @@ class IntMatrix:
         if self.rows != other.rows:
             raise ValueError("hstack requires equal row counts")
         data = tuple(a + b for a, b in zip(self.entries, other.entries))
-        stacked = IntMatrix(self.rows, self.cols + other.cols, data)
+        stacked = _trusted(self.rows, self.cols + other.cols, data)
         object.__setattr__(stacked, "_blocks", (False, [self, other]))
         return stacked
 
     def vstack(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.cols:
             raise ValueError("vstack requires equal column counts")
-        return IntMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return _trusted(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def __matmul__(self, other: IntMatrix) -> IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         cols = other.columns()
         data = tuple([tuple([sum(map(mul, row, col)) for col in cols]) for row in self.entries])
-        return IntMatrix(self.rows, other.cols, data)
+        return _trusted(self.rows, other.cols, data)
 
     def __neg__(self) -> IntMatrix:
         return self.scale(-1)
 
     def scale(self, c: int) -> IntMatrix:
-        return IntMatrix(self.rows, self.cols,
-                         tuple(tuple(c * x for x in row) for row in self.entries))
+        if type(c) is not int:
+            raise TypeError(f"scale factor must be int, not {type(c).__name__} {c!r}")
+        return _trusted(self.rows, self.cols,
+                        tuple(tuple(c * x for x in row) for row in self.entries))
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         return self._entrywise(add, other)
@@ -158,7 +185,7 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
         data = tuple(tuple(map(op, r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        return IntMatrix(self.rows, self.cols, data)
+        return _trusted(self.rows, self.cols, data)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix-vector product."""
@@ -184,7 +211,7 @@ def block_diagonal(blocks: Iterable[IntMatrix]) -> IntMatrix:
     for b in blocks:
         data += [(0,) * c0 + row + (0,) * (cols - c0 - b.cols) for row in b.entries]
         c0 += b.cols
-    stacked = IntMatrix(len(data), cols, tuple(data))
+    stacked = _trusted(len(data), cols, tuple(data))
     object.__setattr__(stacked, "_blocks", (True, blocks))
     return stacked
 
@@ -235,7 +262,7 @@ def _replayed_identity(ops: Sequence[Op], n: int, start: int = 0) -> IntMatrix:
     columns = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(start, n)]
     for x in columns:
         _replay_on_vector(ops, x)
-    return IntMatrix.from_columns(columns, rows=n)
+    return _trusted_columns(columns, n)
 
 
 @dataclass(frozen=True)
@@ -401,10 +428,9 @@ def _eliminate(a: IntMatrix) -> SmithDecomposition:
         for row in w:
             del row[0]
 
-    d = [[0] * n for _ in range(m)]
-    for i, x in enumerate(diag):
-        d[i][i] = x
-    return SmithDecomposition(IntMatrix.from_rows(d, cols=n), tuple(row_ops), tuple(col_ops))
+    d = tuple((0,) * i + (x,) + (0,) * (n - 1 - i) for i, x in enumerate(diag))
+    d += ((0,) * n,) * (m - len(diag))
+    return SmithDecomposition(_trusted(m, n, d), tuple(row_ops), tuple(col_ops))
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -429,7 +455,7 @@ def _echelon(a: IntMatrix) -> IntMatrix:
     """The column Hermite form of ``a``: the echelon pass over its columns."""
     h = list(map(list, a.columns()))
     r = _echelon_pass(h, a.rows)
-    return IntMatrix(a.rows, r, tuple(zip(*h[:r])) if r else ((),) * a.rows)
+    return _trusted_columns(h[:r], a.rows)
 
 
 def _echelon_pass(h: list[list[int]], pivots: int) -> int:
@@ -492,7 +518,7 @@ def kernel_projection(a: IntMatrix, k: int) -> IntMatrix:
     lower = IntMatrix.identity(k).entries + ((0,) * k,) * (a.cols - k)
     h = [list(col + e) for col, e in zip(a.columns(), lower)]
     r = _echelon_pass(h, a.rows)
-    return IntMatrix.from_columns([v[a.rows:] for v in h[r:]], rows=k)
+    return _trusted_columns([v[a.rows:] for v in h[r:]], k)
 
 
 def hermite_contains(h: IntMatrix, b: Sequence[int]) -> bool:

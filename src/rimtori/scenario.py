@@ -33,16 +33,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 from .divisors import ContactProfile, DivisorComponent, DivisorData
 from .groups import FgAbGroup, Homomorphism, IllDefinedHomomorphismError
-from .matrices import IntMatrix
+from .matrices import IntMatrix, _trusted, _trusted_columns
 from .squares import ExactSquare
 
 
-# the largest group or H_1 rank a scenario may declare: the identity matrix of
-# that rank has 2^20 entries, as many as ``groups.COSET_LIMIT`` enumerates
+# the largest group rank, or H_1 ambient rank of a component or divisor, a scenario may declare:
+# the identity matrix of that rank has 2^20 entries, as many as ``groups.COSET_LIMIT`` enumerates
 RANK_LIMIT = 2**10
 
 
@@ -82,45 +83,45 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioInvariantError(message)
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int: never read them as numbers
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _int_list(values, context: str) -> list[int]:
-    _require(isinstance(values, list), f"{context}: expected an array")
-    out = []
-    for v in values:
-        _require(_is_int(v), f"{context}: entries must be integers")
-        out.append(v)
-    return out
+    # JSON true/false load as bool, a subclass of int: never read them as numbers
+    if not (type(values) is list and {int}.issuperset(map(type, values))):
+        _require(isinstance(values, list), f"{context}: expected an array")
+        raise ScenarioInvariantError(f"{context}: entries must be integers")
+    return values
+
+
+def _is_table(values, length: int | None = None) -> bool:
+    """Whether ``values`` is a list of lists of ints, all of ``length`` when given: one set/map
+    pass that builds no message.  Only a table that fails is walked, to name its first fault."""
+    return (type(values) is list and {list}.issuperset(map(type, values))
+            and {int}.issuperset(map(type, chain.from_iterable(values)))
+            and (length is None or {length}.issuperset(map(len, values))))
 
 
 def _column_matrix(values, rows: int, context: str) -> IntMatrix:
-    _require(isinstance(values, list), f"{context}: expected an array of column vectors")
-    cols = []
-    for k, col in enumerate(values):
-        vec = _int_list(col, f"{context}[{k}]")
-        _require(len(vec) == rows, f"{context}[{k}]: expected length {rows}, got {len(vec)}")
-        cols.append(vec)
-    return IntMatrix.from_columns(cols, rows=rows)
+    if not _is_table(values, rows):
+        _require(isinstance(values, list), f"{context}: expected an array of column vectors")
+        for k, col in enumerate(values):
+            vec = _int_list(col, f"{context}[{k}]")
+            _require(len(vec) == rows, f"{context}[{k}]: expected length {rows}, got {len(vec)}")
+    return _trusted_columns(values, rows)
 
 
 def _row_matrix(values, rows: int, cols: int, context: str) -> IntMatrix:
-    _require(isinstance(values, list) and len(values) == rows,
-             f"{context}: expected {rows} rows")
-    data = []
-    for i, row in enumerate(values):
-        vec = _int_list(row, f"{context}[{i}]")
-        _require(len(vec) == cols, f"{context}[{i}]: expected {cols} entries")
-        data.append(vec)
-    return IntMatrix.from_rows(data, cols=cols)
+    if not (_is_table(values, cols) and len(values) == rows):
+        _require(isinstance(values, list) and len(values) == rows,
+                 f"{context}: expected {rows} rows")
+        for i, row in enumerate(values):
+            vec = _int_list(row, f"{context}[{i}]")
+            _require(len(vec) == cols, f"{context}[{i}]: expected {cols} entries")
+    return _trusted(rows, cols, tuple(map(tuple, values)))
 
 
 def _parse_group(spec, context: str) -> FgAbGroup:
     _require(isinstance(spec, dict), f"{context}: expected an object")
     rank = spec.get("rank", 0)
-    _require(_is_int(rank) and rank >= 0, f"{context}: rank must be a nonnegative integer")
+    _require(type(rank) is int and rank >= 0, f"{context}: rank must be a nonnegative integer")
     _require(rank <= RANK_LIMIT, f"{context}: rank {rank} exceeds the limit of {RANK_LIMIT}")
     relations = _column_matrix(spec.get("relations", []), rank, f"{context}.relations")
     return FgAbGroup(rank, relations)
@@ -133,9 +134,11 @@ def _parse_component(spec, context: str) -> DivisorComponent:
     h1_spec = spec.get("h1")
     _require(isinstance(h1_spec, dict), f"{context}: component needs an h1 object")
     rank = h1_spec.get("rank", 0)
-    _require(_is_int(rank) and rank >= 0, f"{context}.h1: rank must be a nonnegative integer")
+    _require(type(rank) is int and rank >= 0, f"{context}.h1: rank must be a nonnegative integer")
     _require(rank <= RANK_LIMIT, f"{context}.h1: rank {rank} exceeds the limit of {RANK_LIMIT}")
     torsion = _int_list(h1_spec.get("torsion", []), f"{context}.h1.torsion")
+    _require(rank + len(torsion) <= RANK_LIMIT,
+             f"{context}.h1: ambient rank {rank + len(torsion)} exceeds the limit of {RANK_LIMIT}")
     _require(all(d > 1 for d in torsion), f"{context}.h1.torsion: orders must exceed 1")
     h1 = FgAbGroup.from_invariants(rank, torsion)
 
@@ -155,11 +158,14 @@ def _parse_component(spec, context: str) -> DivisorComponent:
 def _parse_divisor(spec, context: str) -> DivisorData:
     _require(isinstance(spec, dict), f"{context}: expected an object")
     dim = spec.get("dim", 2)
-    _require(_is_int(dim), f"{context}: dim must be an integer")
+    _require(type(dim) is int, f"{context}: dim must be an integer")
     raw_components = spec.get("components", [])
     _require(isinstance(raw_components, list), f"{context}: components must be an array")
     components = tuple(_parse_component(c, f"{context}.components[{i}]")
                        for i, c in enumerate(raw_components))
+    ambient = sum(comp.h1.ambient_rank for comp in components)
+    _require(ambient <= RANK_LIMIT,
+             f"{context}: H_1 ambient rank {ambient} exceeds the limit of {RANK_LIMIT}")
     total = FgAbGroup.direct_sum_of(comp.h1 for comp in components)
     gens = _column_matrix(spec.get("h_xv", []), total.ambient_rank, f"{context}.h_xv")
     intersections = spec.get("intersections")
@@ -176,13 +182,11 @@ def _parse_profile(spec, context: str) -> ContactProfile:
     _require(isinstance(spec, dict), f"{context}: expected an object")
     raw = spec.get("tuples")
     _require(isinstance(raw, list), f"{context}: profile needs a tuples array")
-    tuples = []
-    for r, s in enumerate(raw):
-        entries = _int_list(s, f"{context}.tuples[{r}]")
-        _require(all(x != 0 for x in entries),
-                 f"{context}.tuples[{r}]: contact orders must be nonzero entries")
-        tuples.append(tuple(entries))
-    return ContactProfile(tuple(tuples))
+    if not (_is_table(raw) and all(map(all, raw))):
+        for r, s in enumerate(raw):
+            entries = _int_list(s, f"{context}.tuples[{r}]")
+            _require(all(entries), f"{context}.tuples[{r}]: contact orders must be nonzero entries")
+    return ContactProfile(tuple(map(tuple, raw)))
 
 
 def _parse_gluing(spec, divisors: dict[str, DivisorData], context: str) -> Gluing:

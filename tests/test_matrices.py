@@ -167,6 +167,15 @@ def test_dimensions_must_be_ints():
             build()
 
 
+def test_scale_refuses_a_factor_that_is_not_an_int():
+    # a bool was read as 1, and a float was refused only by a rescan of the product
+    for bad, shown in ((True, "bool True"), (False, "bool False"), (2.5, "float 2.5"),
+                       ("2", "str '2'")):
+        with pytest.raises(TypeError, match=f"^scale factor must be int, not {shown}$"):
+            IntMatrix.identity(2).scale(bad)
+    assert IntMatrix.identity(2).scale(-3) == IntMatrix.from_rows([[-3, 0], [0, -3]])
+
+
 @st.composite
 def hermite_inputs(draw):
     """Up to 10 x 12, entries up to 10^6, some columns combinations of earlier ones."""

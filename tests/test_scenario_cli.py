@@ -348,3 +348,52 @@ def test_rank_at_the_limit_is_accepted():
     document = _with_rank("h1", RANK_LIMIT)[0]
     divisor = parse_scenario(json.dumps(document)).divisors["elliptic_fiber"]
     assert divisor.total_h1().ambient_rank == RANK_LIMIT
+
+
+@pytest.fixture
+def capped_matrices(monkeypatch):
+    """Fail fast if a matrix with a dimension above the cap is ever built."""
+    def capped(build):
+        def guarded(*dims):
+            assert max(dims) <= RANK_LIMIT, f"built a matrix of dimensions {dims}"
+            return build(*dims)
+        return staticmethod(guarded)
+
+    monkeypatch.setattr(IntMatrix, "zeros", capped(IntMatrix.zeros))
+    monkeypatch.setattr(IntMatrix, "identity", capped(IntMatrix.identity))
+
+
+def _with_h1(file, divisor, *h1s):
+    """A shipped scenario with the H_1 groups of one divisor's components replaced."""
+    document = json.loads(corpus(file).read_text())
+    for component, h1 in zip(document["divisors"][divisor]["components"], h1s):
+        component["h1"] = h1
+    return document
+
+
+@pytest.mark.parametrize("file, divisor, h1s, message", [
+    # torsion orders widen the ambient as free rank does: 1,100 were accepted
+    ("elliptic_surface.json", "elliptic_fiber", [{"rank": 0, "torsion": [2] * 1100}],
+     "divisors.elliptic_fiber.components[0].h1: ambient rank 1100"),
+    ("elliptic_surface.json", "elliptic_fiber", [{"rank": 1000, "torsion": [3] * 25}],
+     "divisors.elliptic_fiber.components[0].h1: ambient rank 1025"),
+    # each component within the cap, their direct sum above it
+    ("p1_times_t2.json", "two_fibers", [{"rank": 1024}, {"rank": 1024}],
+     "divisors.two_fibers: H_1 ambient rank 2048"),
+    ("p1_times_t2.json", "two_fibers", [{"rank": 512, "torsion": [2]}, {"rank": 512}],
+     "divisors.two_fibers: H_1 ambient rank 1025"),
+], ids=["torsion", "rank-and-torsion", "two-components", "total-with-torsion"])
+def test_ambient_ranks_above_the_limit_exit_2(tmp_path, capsys, capped_matrices,
+                                              file, divisor, h1s, message):
+    path = tmp_path / "ambient.json"
+    path.write_text(json.dumps(_with_h1(file, divisor, *h1s)))
+    assert main(["compute", "--scenario", str(path), "--name", divisor]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message} exceeds the limit of {RANK_LIMIT}\n"
+
+
+def test_ambient_rank_at_the_limit_is_accepted(capped_matrices):
+    document = _with_h1("elliptic_surface.json", "elliptic_fiber",
+                        {"rank": 1000, "torsion": [2] * 24})
+    divisor = parse_scenario(json.dumps(document)).divisors["elliptic_fiber"]
+    assert divisor.total_h1().ambient_rank == RANK_LIMIT
